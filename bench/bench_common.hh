@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -42,8 +43,10 @@ class JsonReport {
   void set(const std::string& key, double value) {
     metrics_.emplace_back(key, Metric(value));
   }
+  /// Integers are held and printed exactly (a seed does not survive a
+  /// round trip through double).
   void set(const std::string& key, std::uint64_t value) {
-    metrics_.emplace_back(key, Metric(static_cast<double>(value)));
+    metrics_.emplace_back(key, Metric(value));
   }
   void set(const std::string& key, const std::string& value) {
     metrics_.emplace_back(key, Metric(value));
@@ -63,10 +66,14 @@ class JsonReport {
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       if (i) doc += ", ";
       doc += '"' + json::escape(metrics_[i].first) + "\": ";
+      char buf[64];
       if (std::holds_alternative<double>(metrics_[i].second)) {
-        char buf[64];
         std::snprintf(buf, sizeof buf, "%.17g",
                       std::get<double>(metrics_[i].second));
+        doc += buf;
+      } else if (std::holds_alternative<std::uint64_t>(metrics_[i].second)) {
+        std::snprintf(buf, sizeof buf, "%" PRIu64,
+                      std::get<std::uint64_t>(metrics_[i].second));
         doc += buf;
       } else {
         doc += '"' + json::escape(std::get<std::string>(metrics_[i].second)) +
@@ -98,7 +105,7 @@ class JsonReport {
     return slug.empty() ? "unnamed" : slug;
   }
 
-  using Metric = std::variant<double, std::string>;
+  using Metric = std::variant<double, std::uint64_t, std::string>;
   std::string name_;
   std::vector<std::pair<std::string, Metric>> metrics_;
 };

@@ -99,7 +99,7 @@ class StatStack {
   /// Engine-aware build: per-PC curve construction fans out over
   /// `executor`'s workers (ordered reduction — the model is byte-identical
   /// to the serial build at any worker count), and `store` supplies the
-  /// interned PC table plus reusable grouping arenas so repeated windowed
+  /// interned PC table plus reusable grouping buffers so repeated windowed
   /// solves allocate nothing in steady state. Either argument may be null.
   StatStack(const Profile& profile, const engine::Executor* executor,
             engine::ArtifactStore* store);

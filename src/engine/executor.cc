@@ -3,41 +3,26 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "engine/arena.hh"
-
 namespace re::engine {
 
-Executor::Executor(int jobs, std::uint64_t seed, SchedulerBackend backend)
-    : jobs_(std::max(1, jobs)), seed_(seed), backend_(backend) {}
+Executor::Executor(int jobs, std::uint64_t seed)
+    : jobs_(std::max(1, jobs)), seed_(seed) {}
 
 bool Executor::in_worker() { return current_worker() >= 0; }
 
 void Executor::for_each(std::size_t n, const TaskFn& fn,
-                        const CancelToken* cancel, const HintFn* hints) const {
+                        const CancelToken* cancel) const {
   if (n == 0) return;
 
   // Serial path, and the nested-fan-out path: run inline. A worker that
   // fans out again would deadlock a fixed pool and gains nothing on a
-  // machine already saturated by the outer fan-out. Hints are still
-  // honored — the serial path pipelines exactly like one worker would.
+  // machine already saturated by the outer fan-out.
   const std::size_t workers =
       std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
   if (workers <= 1 || in_worker()) {
-    std::uint64_t local_hints = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (cancel != nullptr && cancel->requested()) {
-        if (local_hints != 0) {
-          prefetch_hints_.fetch_add(local_hints, std::memory_order_relaxed);
-        }
-        throw Cancelled();
-      }
-      if (hints != nullptr && i + 1 < n) {
-        local_hints += prefetch_resource((*hints)(i + 1)) != 0 ? 1 : 0;
-      }
+      if (cancel != nullptr && cancel->requested()) throw Cancelled();
       fn(i);
-    }
-    if (local_hints != 0) {
-      prefetch_hints_.fetch_add(local_hints, std::memory_order_relaxed);
     }
     return;
   }
@@ -45,26 +30,14 @@ void Executor::for_each(std::size_t n, const TaskFn& fn,
   SchedulerConfig config;
   config.workers = workers;
   config.seed = seed_;
-  config.backend = backend_;
-  SchedulerStats stats;
-  run_parallel(config, n, fn, cancel, hints, &stats);
-  steals_.fetch_add(stats.steals, std::memory_order_relaxed);
-  prefetch_hints_.fetch_add(stats.prefetch_hints, std::memory_order_relaxed);
-  last_epoch_.store(stats.epoch, std::memory_order_relaxed);
+  run_parallel(config, n, fn, cancel);
 }
 
 std::string describe_executor(const Executor& executor) {
-  const NumaTopology& topo = NumaTopology::cached();
-  const SlabArena probe(ArenaPlacement::kAuto);  // the store's default
-  char buffer[160];
-  std::snprintf(buffer, sizeof(buffer),
-                "jobs=%d seed=0x%016llx scheduler=%s deque=%zu numa=%s(%d "
-                "node%s)",
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "jobs=%d seed=0x%016llx",
                 executor.jobs(),
-                static_cast<unsigned long long>(executor.seed()),
-                scheduler_backend_name(executor.backend()),
-                kStealDequeCapacity, placement_name(probe.placement()),
-                topo.nodes, topo.nodes == 1 ? "" : "s");
+                static_cast<unsigned long long>(executor.seed()));
   return std::string(buffer);
 }
 

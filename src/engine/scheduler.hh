@@ -1,114 +1,44 @@
-// Task scheduling backends for the deterministic executor, with
-// resource-annotated self-prefetching.
+// The fork-join dispatcher behind the deterministic executor.
 //
-// Two dispatch strategies share one contract — every unit of a fan-out
-// runs exactly once, artifacts are byte-identical at any worker count
-// (ordered reduction: units write only their own slots), and among failing
-// units the lowest-indexed exception wins:
-//
-//   kForkJoin — the original pool: one shared claim counter over a seeded
-//               permutation of [0, n). Simple, but every claim serializes
-//               all workers on one cache line.
-//   kSteal    — mxtasking-style work stealing: each worker owns a bounded
-//               deque (capacity kStealDequeCapacity) refilled in blocks
-//               from the seeded permutation, so the shared cursor is
-//               touched once per block instead of once per task. An idle
-//               worker walks its seeded steal-victim permutation and takes
-//               tasks from the back of a victim's deque. Per-task claim
-//               words tagged with the fan-out's epoch make claims
-//               exactly-once even when owner and thief race on the same
-//               slot, and make a stale deque view harmless — a claim
-//               either wins the task or loses to whoever ran it.
-//
-// Self-prefetching: a task may be annotated with the resource it will
-// touch (pointer + span + T0/NTA mode). The dispatcher claims the *next*
-// task before running the current one and issues software prefetches for
-// the next task's resource — the analysis engine prefetching its own
-// artifacts, exactly the discipline the paper asks of application code.
-// Hints are a perf action only; they can never affect artifact bytes.
+// One shared claim counter walks a seeded permutation of [0, n); each
+// worker claims the next unit and runs it, until the permutation is
+// exhausted. The contract — every unit runs exactly once, artifacts are
+// byte-identical at any worker count (ordered reduction: units write only
+// their own slots), and among failing units the lowest-indexed exception
+// wins — is the executor's (engine/executor.hh).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "engine/cancel.hh"
 
 namespace re::engine {
 
-enum class SchedulerBackend : std::uint8_t { kForkJoin, kSteal };
+/// Kept only for perfbench, which prints the backend name in its
+/// provenance line; fork-join is the one dispatcher.
+enum class SchedulerBackend : std::uint8_t { kForkJoin };
 
-/// Stable lowercase name ("forkjoin", "steal").
+/// Kept only for perfbench: always "forkjoin".
 const char* scheduler_backend_name(SchedulerBackend backend);
-/// Parse a backend name; false (and *out untouched) on anything else.
-bool parse_scheduler_backend(const std::string& name, SchedulerBackend* out);
-
-/// Cache hint for a resource prefetch: T0 pulls into the whole hierarchy
-/// (data the task will touch repeatedly), NTA bypasses (read-once data
-/// that should not evict the task's working set).
-enum class PrefetchMode : std::uint8_t { kNone, kT0, kNTA };
-
-/// The resource a task is annotated with: the span of memory it will
-/// touch, prefetched by the dispatcher before the task runs.
-struct ResourceHint {
-  const void* data = nullptr;
-  std::size_t bytes = 0;
-  PrefetchMode mode = PrefetchMode::kT0;
-
-  bool empty() const { return data == nullptr || bytes == 0; }
-};
 
 using TaskFn = std::function<void(std::size_t)>;
-/// Annotation callback: the resource hint for unit i. Must be pure with
-/// respect to artifacts (it may read shared state, never write it).
-using HintFn = std::function<ResourceHint(std::size_t)>;
-
-/// Issue the prefetch instructions for a hint, line by line, capped at
-/// kMaxPrefetchBytes (an oversized span prefetches its head — by the time
-/// the task streams past it, the hardware prefetcher has taken over).
-/// Returns the number of cache lines touched.
-std::size_t prefetch_resource(const ResourceHint& hint);
-
-inline constexpr std::size_t kCacheLineBytes = 64;
-inline constexpr std::size_t kMaxPrefetchBytes = 4096;
-/// Bounded per-worker deque: at most this many tasks are resident in a
-/// worker's deque; refills pull the next block of the permutation.
-inline constexpr std::size_t kStealDequeCapacity = 64;
-
-/// Per-fan-out dispatch counters (perf observability; never artifacts).
-struct SchedulerStats {
-  std::uint64_t tasks = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t prefetch_hints = 0;
-  /// The process-wide epoch this fan-out's task claims were tagged with.
-  std::uint64_t epoch = 0;
-};
 
 struct SchedulerConfig {
   std::size_t workers = 1;  // >= 2 (the serial path lives in Executor)
   std::uint64_t seed = 0;
-  SchedulerBackend backend = SchedulerBackend::kForkJoin;
 };
 
 /// Run fn(i) for every i in [0, n) across config.workers threads (the
 /// calling thread is worker 0). Exactly-once; deterministic error
 /// selection (lowest-indexed unit that threw); cooperative cancellation
 /// (armed token stops new units, in-flight units drain, Cancelled is
-/// thrown unless a unit error outranks it). `hints`, when non-null, is
-/// consulted for every unit and the dispatcher prefetches the next unit's
-/// resource before running the current one. `stats`, when non-null,
-/// receives this fan-out's dispatch counters.
+/// thrown unless a unit error outranks it).
 void run_parallel(const SchedulerConfig& config, std::size_t n,
-                  const TaskFn& fn, const CancelToken* cancel,
-                  const HintFn* hints, SchedulerStats* stats);
+                  const TaskFn& fn, const CancelToken* cancel);
 
 /// Worker index of the calling thread within a live fan-out, -1 outside.
 int current_worker();
-
-/// The last epoch handed out (monotone, process-wide; each parallel
-/// fan-out takes the next one — the tag that keeps a stale steal from a
-/// previous fan-out from ever claiming into the current one).
-std::uint64_t current_epoch();
 
 }  // namespace re::engine

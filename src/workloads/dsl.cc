@@ -1,8 +1,12 @@
 #include "workloads/dsl.hh"
 
+#include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 namespace re::workloads {
@@ -37,6 +41,9 @@ std::vector<std::string> tokenize(const std::string& line) {
   return tokens;
 }
 
+/// Unsigned number (decimal, 0x hex or 0 octal) with an optional K/M
+/// suffix. Signs, leading blanks and anything that does not fit in 64 bits
+/// after scaling are rejected, never wrapped.
 std::uint64_t parse_size(const std::string& text, int line) {
   if (text.empty()) throw DslParseError(line, "empty number");
   std::uint64_t multiplier = 1;
@@ -49,28 +56,58 @@ std::uint64_t parse_size(const std::string& text, int line) {
     multiplier = 1024 * 1024;
     digits.pop_back();
   }
+  if (digits.empty() || !std::isdigit(static_cast<unsigned char>(digits[0]))) {
+    throw DslParseError(line, "bad number: " + text);
+  }
+  std::uint64_t value = 0;
   try {
     std::size_t used = 0;
-    const std::uint64_t value = std::stoull(digits, &used, 0);
+    value = std::stoull(digits, &used, 0);
     if (used != digits.size()) {
       throw DslParseError(line, "trailing characters in number: " + text);
     }
-    return value * multiplier;
-  } catch (const DslParseError&) {
-    throw;
-  } catch (const std::exception&) {
+  } catch (const std::out_of_range&) {
+    throw DslParseError(line, "number out of range: " + text);
+  } catch (const std::invalid_argument&) {
     throw DslParseError(line, "bad number: " + text);
   }
+  if (value > std::numeric_limits<std::uint64_t>::max() / multiplier) {
+    throw DslParseError(line, "number out of range: " + text);
+  }
+  return value * multiplier;
 }
 
+/// parse_size with an optional sign; the magnitude must fit in int64_t
+/// (down to INT64_MIN for a negative number).
 std::int64_t parse_signed(const std::string& text, int line) {
-  if (!text.empty() && text[0] == '-') {
-    return -static_cast<std::int64_t>(parse_size(text.substr(1), line));
+  const bool negative = !text.empty() && text[0] == '-';
+  const bool sign = negative || (!text.empty() && text[0] == '+');
+  const std::uint64_t magnitude =
+      parse_size(sign ? text.substr(1) : text, line);
+  constexpr std::uint64_t kMax = std::numeric_limits<std::int64_t>::max();
+  if (magnitude > kMax + (negative ? 1 : 0)) {
+    throw DslParseError(line, "number out of range: " + text);
   }
-  if (!text.empty() && text[0] == '+') {
-    return static_cast<std::int64_t>(parse_size(text.substr(1), line));
+  // -(kMax + 1) is INT64_MIN; negate in unsigned arithmetic so that
+  // magnitude does not overflow on the way.
+  return negative ? static_cast<std::int64_t>(0 - magnitude)
+                  : static_cast<std::int64_t>(magnitude);
+}
+
+/// The N of a `pcN:` label: decimal digits only, the whole label consumed,
+/// and N representable as a Pc.
+Pc parse_pc_label(const std::string& label, int line) {
+  const char* first = label.data() + 2;
+  const char* last = label.data() + label.size() - 1;  // before ':'
+  Pc pc = 0;
+  const auto [end, error] = std::from_chars(first, last, pc);
+  if (error == std::errc::result_out_of_range) {
+    throw DslParseError(line, "pc label out of range: " + label);
   }
-  return static_cast<std::int64_t>(parse_size(text, line));
+  if (error != std::errc() || end != last) {
+    throw DslParseError(line, "bad pc label: " + label);
+  }
+  return pc;
 }
 
 /// key=value fields of an instruction line.
@@ -299,12 +336,7 @@ Program parse_program(const std::string& text) {
       throw DslParseError(line_no, "expected `pcN:` label, got " + label);
     }
     StaticInst inst;
-    try {
-      inst.pc = static_cast<Pc>(
-          std::stoul(label.substr(2, label.size() - 3)));
-    } catch (const std::exception&) {
-      throw DslParseError(line_no, "bad pc label: " + label);
-    }
+    inst.pc = parse_pc_label(label, line_no);
     if (tokens.size() < 2) throw DslParseError(line_no, "missing pattern");
     const std::string kind = tokens[1];
 

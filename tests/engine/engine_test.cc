@@ -76,7 +76,7 @@ TEST(EngineDeterminism, ContextlessRunMatchesSerialExecutor) {
 }
 
 TEST(EngineDeterminism, ArtifactStoreReuseAcrossRunsIsInvisible) {
-  // A store warmed by other programs (stale interned PCs, used arenas) must
+  // A store warmed by other programs (stale interned PCs, grown buffers) must
   // never change results — only allocation behavior.
   const sim::MachineConfig machine = sim::amd_phenom_ii();
   const Executor executor(2);
@@ -234,16 +234,43 @@ TEST(ArtifactStore, InternerIsStableAndClearKeepsIds) {
   EXPECT_EQ(store.pc_table().intern(200), b);
 }
 
+TEST(ArtifactStore, BufferCapacitySurvivesClear) {
+  ArtifactStore store;
+  auto& groups = store.reuse_groups(4);
+  ASSERT_EQ(groups.size(), 4u);
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t id = 0; id < groups.size(); ++id) {
+      store.touched_pcs().push_back(static_cast<std::uint32_t>(id));
+      for (int k = 0; k < 100; ++k) {
+        groups[id].push_back(static_cast<RefCount>(k));
+      }
+    }
+    store.clear();
+    for (const auto& g : store.reuse_groups(4)) {
+      EXPECT_TRUE(g.empty()) << "round " << round;
+      EXPECT_GE(g.capacity(), 100u) << "round " << round;
+    }
+  }
+}
+
+TEST(ArtifactStore, GrowingGroupCountKeepsEarlierBuffers) {
+  ArtifactStore store;
+  store.reuse_groups(2)[1].push_back(RefCount{42});
+  auto& groups = store.reuse_groups(6);
+  ASSERT_EQ(groups.size(), 6u);
+  ASSERT_EQ(groups[1].size(), 1u);
+  EXPECT_EQ(groups[1][0], RefCount{42});
+}
+
 // -- thread-safety stress (TSan lane) --------------------------------------
 
 TEST(EngineStress, ConcurrentWindowedSolvesAreIndependent) {
   // 64 concurrent windowed solves: 16 threads x 4 solves, each with its own
   // ArtifactStore (the sharing unit is the store, never the solve). Under
   // RE_SANITIZE=thread this is the data-race oracle for the whole engine
-  // path (sampling, StatStack arena reuse, stride fan-out, insertion).
-  // Alternating threads use the work-stealing backend, so owner/thief
-  // claim races run under the same oracle (the steal storm proper lives in
-  // scheduler_test.cc).
+  // path (sampling, StatStack buffer reuse, stride fan-out, insertion).
+  // All threads fan out through one shared executor, so concurrent
+  // fan-outs on the same executor run under the same oracle.
   const sim::MachineConfig machine = sim::amd_phenom_ii();
   const std::vector<std::string> names = workloads::suite_names();
   const workloads::Program program = workloads::make_benchmark("libquantum");
@@ -252,15 +279,12 @@ TEST(EngineStress, ConcurrentWindowedSolvesAreIndependent) {
 
   constexpr int kThreads = 16;
   constexpr int kSolvesPerThread = 4;
+  const Executor executor(2);
   std::vector<std::string> mismatches(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      const SchedulerBackend backend = t % 2 == 0
-                                           ? SchedulerBackend::kForkJoin
-                                           : SchedulerBackend::kSteal;
-      const Executor executor(2, kDefaultExecutorSeed, backend);
       ArtifactStore store;
       const EngineContext ctx{&executor, &store};
       for (int s = 0; s < kSolvesPerThread; ++s) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -23,13 +24,31 @@ TEST(Executor, JobsClampedToAtLeastOne) {
 }
 
 TEST(Executor, ForEachVisitsEveryUnitExactlyOnce) {
-  for (const int jobs : {1, 2, 7, 16}) {
-    constexpr std::size_t kUnits = 257;  // not a multiple of any worker count
-    std::vector<std::atomic<int>> visits(kUnits);
-    const Executor executor(jobs);
-    executor.for_each(kUnits, [&](std::size_t i) { ++visits[i]; });
-    for (std::size_t i = 0; i < kUnits; ++i) {
-      EXPECT_EQ(visits[i].load(), 1) << "unit " << i << " at jobs " << jobs;
+  // 257 units is not a multiple of any worker count; the last case is a
+  // claim storm — tiny units, 16 workers, 8 rounds of maximal contention
+  // on the shared claim counter. Any double-run or drop shows up in the
+  // per-unit counters.
+  struct Case {
+    int jobs;
+    std::size_t units;
+    int rounds;
+  };
+  for (const Case c : {Case{1, 257, 1}, Case{2, 257, 1}, Case{7, 257, 1},
+                       Case{16, 257, 1}, Case{16, 2048, 8}}) {
+    const Executor executor(c.jobs);
+    for (int round = 0; round < c.rounds; ++round) {
+      std::vector<std::atomic<int>> visits(c.units);
+      std::atomic<std::uint64_t> sum{0};
+      executor.for_each(c.units, [&](std::size_t i) {
+        ++visits[i];
+        sum.fetch_add(i, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < c.units; ++i) {
+        ASSERT_EQ(visits[i].load(), 1)
+            << "unit " << i << " at jobs " << c.jobs << " round " << round;
+      }
+      EXPECT_EQ(sum.load(), c.units * (c.units - 1) / 2)
+          << "jobs " << c.jobs << " round " << round;
     }
   }
 }
@@ -83,18 +102,20 @@ TEST(Executor, ParallelRethrowComesFromAFailingUnit) {
   // After the first failure the pool drains fast (not-yet-started units are
   // skipped), so the guarantee is: the rethrown exception belongs to the
   // lowest-indexed unit *that threw* — always one of the failing units.
-  const Executor executor(7);
-  try {
-    executor.for_each(100, [](std::size_t i) {
-      if (i == 17 || i == 42 || i == 91) {
-        throw std::runtime_error("unit " + std::to_string(i));
-      }
-    });
-    FAIL() << "expected a rethrow";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_TRUE(what == "unit 17" || what == "unit 42" || what == "unit 91")
-        << what;
+  for (const int jobs : {7, 16}) {
+    const Executor executor(jobs);
+    try {
+      executor.for_each(100, [](std::size_t i) {
+        if (i == 17 || i == 42 || i == 91) {
+          throw std::runtime_error("unit " + std::to_string(i));
+        }
+      });
+      FAIL() << "expected a rethrow at jobs " << jobs;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_TRUE(what == "unit 17" || what == "unit 42" || what == "unit 91")
+          << what << " at jobs " << jobs;
+    }
   }
 }
 
@@ -172,7 +193,9 @@ TEST(Executor, PreArmedTokenCancelsBeforeAnyUnitRuns) {
 }
 
 TEST(Executor, MidFlightCancellationSkipsTheTail) {
-  for (const int jobs : {1, 4}) {
+  // Units already running when the token arms drain before the throw
+  // propagates: the counter never moves after for_each returns.
+  for (const int jobs : {1, 2, 4, 7, 16}) {
     const Executor executor(jobs);
     CancelToken cancel;
     std::atomic<int> ran{0};
@@ -183,8 +206,10 @@ TEST(Executor, MidFlightCancellationSkipsTheTail) {
                      },
                      &cancel),
                  Cancelled);
-    EXPECT_GE(ran.load(), 3) << "jobs " << jobs;
-    EXPECT_LT(ran.load(), 256) << "jobs " << jobs;
+    const int after_throw = ran.load();
+    EXPECT_GE(after_throw, 3) << "jobs " << jobs;
+    EXPECT_LT(after_throw, 256) << "jobs " << jobs;
+    EXPECT_EQ(ran.load(), after_throw) << "jobs " << jobs;
   }
 }
 
@@ -200,7 +225,7 @@ TEST(Executor, NullTokenAndUnarmedTokenAreHarmless) {
 TEST(Executor, UnitErrorsOutrankCancellation) {
   // When a unit throws and the token is also armed, callers see the unit's
   // error (the root cause), not the cancellation it triggered.
-  for (const int jobs : {1, 4}) {
+  for (const int jobs : {1, 4, 16}) {
     const Executor executor(jobs);
     CancelToken cancel;
     try {
@@ -231,6 +256,11 @@ TEST(Executor, TokenResetMakesItReusable) {
   int ran = 0;
   executor.for_each(4, [&](std::size_t) { ++ran; }, &cancel);
   EXPECT_EQ(ran, 4);
+}
+
+TEST(DescribeExecutor, NamesEveryConfigField) {
+  const Executor executor(5, /*seed=*/0xABC);
+  EXPECT_EQ(describe_executor(executor), "jobs=5 seed=0x0000000000000abc");
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "workloads/cursor.hh"
 #include "workloads/suite.hh"
 
@@ -93,6 +97,72 @@ TEST(DslParse, RejectsMalformedInput) {
       parse_program("program x\nloop 5 {\n  oops: stream stride=8 "
                     "footprint=1K\n}\n"),
       DslParseError);  // bad label
+}
+
+/// The line number of the DslParseError `text` throws, or 0 if none.
+int error_line(const std::string& text) {
+  try {
+    parse_program(text);
+  } catch (const DslParseError& e) {
+    return e.line();
+  }
+  return 0;
+}
+
+/// A one-instruction program whose instruction is on line 3.
+std::string one_inst(const std::string& inst) {
+  return "program x\nloop 5 {\n  " + inst + "\n}\n";
+}
+
+TEST(DslParse, PcLabelsMustBeWholeInRangeNumbers) {
+  // Wider than the 32-bit Pc: rejected, not truncated to pc1215752191.
+  EXPECT_EQ(error_line(one_inst("pc99999999999: stream stride=8 "
+                                "footprint=1K")),
+            3);
+  // Trailing garbage: rejected, not read as pc12.
+  EXPECT_EQ(error_line(one_inst("pc12abc: stream stride=8 footprint=1K")), 3);
+  EXPECT_EQ(error_line(one_inst("pc+12: stream stride=8 footprint=1K")), 3);
+  EXPECT_EQ(error_line(one_inst("pc-1: stream stride=8 footprint=1K")), 3);
+  // The largest Pc still parses.
+  const Program p =
+      parse_program(one_inst("pc4294967295: stream stride=8 footprint=1K"));
+  EXPECT_EQ(p.loops[0].body[0].pc, 4294967295u);
+}
+
+TEST(DslParse, SizesThatOverflowAreRejected) {
+  // 2^54 K is 2^64: it used to wrap to a zero footprint.
+  EXPECT_EQ(error_line(one_inst("pc1: stream stride=8 "
+                                "footprint=18014398509481984K")),
+            3);
+  EXPECT_EQ(error_line(one_inst("pc1: stream stride=8 "
+                                "footprint=18446744073709551616")),
+            3);
+  EXPECT_EQ(error_line(one_inst("pc1: stream stride=8 footprint=-1K")), 3);
+  // The largest scaled value that fits still parses.
+  const Program p = parse_program(
+      one_inst("pc1: stream stride=8 footprint=18014398509481983K"));
+  EXPECT_EQ(std::get<StreamPattern>(p.loops[0].body[0].pattern).footprint,
+            18014398509481983ull * 1024);
+}
+
+TEST(DslParse, SignedMagnitudesBeyondInt64AreRejected) {
+  // 2^63 does not fit in int64_t as a positive number; it used to be
+  // negated into INT64_MIN.
+  EXPECT_EQ(error_line(one_inst("pc1: stream stride=8 footprint=1K "
+                                "; prefetchnta +9223372036854775808")),
+            3);
+  EXPECT_EQ(error_line(one_inst("pc1: stream stride=8 footprint=1K "
+                                "; prefetchnta -9223372036854775809")),
+            3);
+  EXPECT_EQ(error_line(one_inst("pc1: stream stride=18446744073709551615 "
+                                "footprint=1K")),
+            3);
+  // INT64_MIN itself round-trips.
+  const Program p =
+      parse_program(one_inst("pc1: stream stride=8 footprint=1K "
+                             "; prefetchnta -9223372036854775808"));
+  EXPECT_EQ(p.loops[0].body[0].prefetch->distance_bytes,
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(DslPrint, RoundTripsStructure) {

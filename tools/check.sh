@@ -13,7 +13,8 @@
 #            Default build dir: build (reuses the tier-1 build).
 #   verify   run the differential-verification lane: `ctest -L verify`,
 #            then `repf verify` against the committed golden plans for both
-#            machines, run twice and compared byte-for-byte (determinism).
+#            machines at --jobs 1 and --jobs 8, compared byte-for-byte
+#            (determinism).
 #            `tools/check.sh verify --bless` re-blesses the goldens instead.
 #            Default build dir: build.
 #   chaos    run the chaos-engineering lane under ASan+UBSan: `ctest -L
@@ -149,33 +150,23 @@ run_verify() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" -L verify
 
   # The oracle sweep must pass against the committed goldens on both
-  # machines — and be byte-identical between the serial path, an 8-worker
-  # fork-join fan-out, and an 8-worker work-stealing fan-out (the
-  # determinism contract behind golden snapshots, RE_TEST_SEED
-  # reproduction, --jobs, and --scheduler).
-  local out_a out_b out_c
-  out_a="$(mktemp)" ; out_b="$(mktemp)" ; out_c="$(mktemp)"
-  trap 'rm -f "$out_a" "$out_b" "$out_c"' RETURN
+  # machines — and be byte-identical between the serial path and an
+  # 8-worker fan-out (the determinism contract behind golden snapshots,
+  # RE_TEST_SEED reproduction and --jobs).
+  local out_a out_b
+  out_a="$(mktemp)" ; out_b="$(mktemp)"
+  trap 'rm -f "$out_a" "$out_b"' RETURN
   for machine in amd intel; do
     "$build_dir/tools/repf" verify --golden tests/golden --machine "$machine" \
       --jobs 1 > "$out_a"
     "$build_dir/tools/repf" verify --golden tests/golden --machine "$machine" \
-      --jobs 8 --scheduler forkjoin > "$out_b"
-    "$build_dir/tools/repf" verify --golden tests/golden --machine "$machine" \
-      --jobs 8 --scheduler steal > "$out_c"
+      --jobs 8 > "$out_b"
     cmp -s "$out_a" "$out_b" || {
       echo "FAILED: repf verify --machine $machine differs at --jobs 1 vs 8"
       diff "$out_a" "$out_b" | head -20
       exit 1
     }
-    cmp -s "$out_a" "$out_c" || {
-      echo "FAILED: repf verify --machine $machine differs between" \
-           "--scheduler forkjoin and steal"
-      diff "$out_a" "$out_c" | head -20
-      exit 1
-    }
-    echo "== repf verify --machine $machine: clean + identical at" \
-         "--jobs 1/8, forkjoin/steal"
+    echo "== repf verify --machine $machine: clean + identical at --jobs 1/8"
   done
   echo "verify lane clean"
 }
@@ -329,10 +320,10 @@ run_corun() {
 run_tsan() {
   # The engine fans analysis out over a thread pool; this lane is the race
   # detector for it. The engine label carries the dedicated stress tests —
-  # 64 concurrent windowed solves (half on the work-stealing backend) plus
-  # the steal storm (scheduler_test.cc: 16 workers x 8 rounds of tiny
-  # units, maximal owner/thief claim contention) and plan-cache contention;
-  # unit and verify cover the refactored consumers.
+  # 64 concurrent windowed solves on one shared executor, the claim storm
+  # (executor_test.cc: 16 workers x 8 rounds of tiny units, maximal
+  # contention on the claim counter) and plan-cache contention; unit and
+  # verify cover the refactored consumers.
   local build_dir="${1:-build-tsan}"
   cmake -B "$build_dir" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -343,17 +334,12 @@ run_tsan() {
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" \
     -L 'unit|verify|engine'
 
-  # The golden sweep at 8 workers, on both scheduler backends: every
-  # fan-out in the verify path runs under TSan — including steal-deque
-  # refills and cross-worker claim CASes — and the plans must still match
-  # the committed snapshots.
+  # The golden sweep at 8 workers: every fan-out in the verify path runs
+  # under TSan, and the plans must still match the committed snapshots.
   for machine in amd intel; do
-    for backend in forkjoin steal; do
-      "$build_dir/tools/repf" verify --golden tests/golden \
-        --machine "$machine" --jobs 8 --scheduler "$backend" > /dev/null
-      echo "== repf verify --machine $machine --jobs 8" \
-           "--scheduler $backend: clean under TSan"
-    done
+    "$build_dir/tools/repf" verify --golden tests/golden \
+      --machine "$machine" --jobs 8 > /dev/null
+    echo "== repf verify --machine $machine --jobs 8: clean under TSan"
   done
   echo "tsan lane clean"
 }
