@@ -39,53 +39,8 @@ using namespace re;
 
 constexpr std::uint64_t kSeed = 42;
 
-/// Per-core stream + hot-buffer mix in disjoint address spaces: enough
-/// locality structure for the adaptive pipeline to chew on, small enough
-/// that a 3-run sweep over four fault rates stays quick.
-workloads::Program chaos_mix_program(std::uint64_t core,
-                                     std::uint64_t iterations) {
-  using workloads::HotBufferPattern;
-  using workloads::Loop;
-  using workloads::StaticInst;
-  using workloads::StreamPattern;
-
-  workloads::Program p;
-  p.name = "chaos-app-" + std::to_string(core);
-  p.seed = kSeed + core;
-  StaticInst a, b;
-  a.pc = 1;
-  a.pattern = StreamPattern{core << 36, 64, 4 << 20};
-  b.pc = 2;
-  b.pattern = HotBufferPattern{(core + 8) << 36, 64, 16 << 10};
-  p.loops.push_back(Loop{{a, b}, iterations});
-  p.outer_reps = 2;
-  return p;
-}
-
-runtime::SupervisorOptions supervisor_options() {
-  runtime::SupervisorOptions opts;
-  opts.adaptive.window_refs = 1024;
-  opts.adaptive.sampler = core::SamplerConfig{50, 42};
-  opts.adaptive.phases.hysteresis_windows = 1;
-  opts.adaptive.min_reoptimize_refs = 8192;
-  opts.heartbeat_grace_windows = 4;
-  opts.backoff_base_windows = 2;
-  opts.half_open_probe_windows = 2;
-  // Back-to-back episodes chain trips before a probe completes; the budget
-  // is sized to the densest (50 %) schedule in the sweep.
-  opts.max_trips = 8;
-  opts.seed = kSeed;
-  return opts;
-}
-
-int violations = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::printf("VIOLATION: %s\n", what);
-    ++violations;
-  }
-}
+using bench::check;
+using bench::violations;
 
 }  // namespace
 
@@ -108,12 +63,13 @@ int main() {
   storage.reserve(static_cast<std::size_t>(cores));
   for (int c = 0; c < cores; ++c) {
     storage.push_back(
-        chaos_mix_program(static_cast<std::uint64_t>(c), iterations));
+        runtime::chaos_mix_program(static_cast<std::uint64_t>(c), iterations));
   }
   std::vector<const workloads::Program*> programs;
   for (const workloads::Program& p : storage) programs.push_back(&p);
 
-  const runtime::SupervisorOptions sopts = supervisor_options();
+  const runtime::SupervisorOptions sopts =
+      runtime::chaos_supervisor_options(kSeed);
   const std::vector<double> rates = {0.0, 0.1, 0.25, 0.5};
 
   TextTable table({"fault rate", "episodes", "trips", "rollbacks",
@@ -130,20 +86,14 @@ int main() {
     const runtime::ChaosRunResult result =
         runtime::run_chaos_mix(machine, programs, false, config, sopts);
 
-    int opens = 0;
-    std::uint64_t rollbacks = 0, recoveries = 0;
-    for (const runtime::DomainStats& d : result.domains) {
-      if (d.state == runtime::DomainState::Open) ++opens;
-      rollbacks += d.rollbacks;
-      recoveries += d.recoveries;
-    }
     if (rate > 0.0) trips_at_low_rates += result.total_trips;
 
     table.add_row({format_percent(rate, 0),
                    std::to_string(result.schedule.episodes().size()),
                    std::to_string(result.total_trips),
-                   std::to_string(rollbacks), std::to_string(recoveries),
-                   std::to_string(opens),
+                   std::to_string(result.total_rollbacks),
+                   std::to_string(result.total_recoveries),
+                   std::to_string(result.open_domains),
                    std::to_string(result.worst_recovery_windows),
                    format_double(result.worst_vs_baseline, 4)});
 
@@ -159,7 +109,8 @@ int main() {
             "chaotic run lost more than 1 % to the no-prefetch baseline");
       check(result.worst_recovery_windows <= 64,
             "a domain needed more than 64 windows to recover");
-      check(opens == 0, "a domain's circuit opened permanently");
+      check(result.open_domains == 0,
+            "a domain's circuit opened permanently");
       if (rate == 0.0) {
         check(result.total_trips == 0,
               "zero-fault schedule tripped a domain (false positive)");

@@ -1,18 +1,18 @@
 // Shared helpers for the paper-reproduction bench binaries.
 #pragma once
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "sim/config.hh"
 #include "support/atomic_file.hh"
 #include "support/json.hh"
+#include "support/numbers.hh"
 
 namespace re::bench {
 
@@ -21,16 +21,34 @@ namespace re::bench {
 /// quickly without letting them rot.
 inline bool smoke_mode() { return std::getenv("RE_BENCH_SMOKE") != nullptr; }
 
+/// A positive count from environment variable `name`, capped at `max`;
+/// `fallback` when the variable is unset or not a positive integer.
+inline int env_count(const char* name, int fallback, int max) {
+  const char* env = std::getenv(name);
+  const Expected<std::uint64_t> count = support::parse_uint64(env ? env : "");
+  if (!count.has_value() || *count == 0) return fallback;
+  return static_cast<int>(std::min<std::uint64_t>(*count, max));
+}
+
 /// Engine worker count for benches that fan out over the deterministic
-/// executor. RE_BENCH_JOBS overrides (clamped to [1, 256]); default 1 keeps
+/// executor. RE_BENCH_JOBS overrides (capped at 256); default 1 keeps
 /// every bench's default output byte-identical to the serial path.
-inline int bench_jobs() {
-  const char* env = std::getenv("RE_BENCH_JOBS");
-  if (env == nullptr) return 1;
-  const long jobs = std::strtol(env, nullptr, 10);
-  if (jobs < 1) return 1;
-  if (jobs > 256) return 256;
-  return static_cast<int>(jobs);
+inline int bench_jobs() { return env_count("RE_BENCH_JOBS", 1, 256); }
+
+/// Mixes per mixed-workload study; RE_MIX_COUNT overrides for quick runs.
+inline int mix_count(int fallback) {
+  return env_count("RE_MIX_COUNT", fallback, 1'000'000);
+}
+
+/// Gates failed so far; a CI-gate bench exits non-zero when any did.
+inline int violations = 0;
+
+/// Record gate `what`, printing it when it failed.
+inline void check(bool ok, const char* what) {
+  if (!ok) {
+    std::printf("VIOLATION: %s\n", what);
+    ++violations;
+  }
 }
 
 /// Machine-readable bench output: collects headline metrics and writes them
@@ -41,15 +59,15 @@ class JsonReport {
   explicit JsonReport(std::string bench_name) : name_(std::move(bench_name)) {}
 
   void set(const std::string& key, double value) {
-    metrics_.emplace_back(key, Metric(value));
+    metrics_.emplace_back(key, value);
   }
   /// Integers are held and printed exactly (a seed does not survive a
   /// round trip through double).
   void set(const std::string& key, std::uint64_t value) {
-    metrics_.emplace_back(key, Metric(value));
+    metrics_.emplace_back(key, value);
   }
   void set(const std::string& key, const std::string& value) {
-    metrics_.emplace_back(key, Metric(value));
+    metrics_.emplace_back(key, value);
   }
 
   /// Write BENCH_<name>.json; prints a warning and returns false on I/O
@@ -65,20 +83,8 @@ class JsonReport {
                       "\", \"metrics\": {";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       if (i) doc += ", ";
-      doc += '"' + json::escape(metrics_[i].first) + "\": ";
-      char buf[64];
-      if (std::holds_alternative<double>(metrics_[i].second)) {
-        std::snprintf(buf, sizeof buf, "%.17g",
-                      std::get<double>(metrics_[i].second));
-        doc += buf;
-      } else if (std::holds_alternative<std::uint64_t>(metrics_[i].second)) {
-        std::snprintf(buf, sizeof buf, "%" PRIu64,
-                      std::get<std::uint64_t>(metrics_[i].second));
-        doc += buf;
-      } else {
-        doc += '"' + json::escape(std::get<std::string>(metrics_[i].second)) +
-               '"';
-      }
+      doc += '"' + json::escape(metrics_[i].first) +
+             "\": " + json::encode(metrics_[i].second);
     }
     doc += "}}\n";
     const Status status = support::write_file_atomic(path, doc);
@@ -105,9 +111,8 @@ class JsonReport {
     return slug.empty() ? "unnamed" : slug;
   }
 
-  using Metric = std::variant<double, std::uint64_t, std::string>;
   std::string name_;
-  std::vector<std::pair<std::string, Metric>> metrics_;
+  std::vector<std::pair<std::string, json::Scalar>> metrics_;
 };
 
 /// Print the standard header: which paper artifact this binary regenerates

@@ -48,14 +48,8 @@ constexpr std::uint64_t kSeed = 42;
 /// (DESIGN.md §13); 2 % absolute leaves slack without hiding regressions.
 constexpr double kInterferenceErrorBound = 0.02;
 
-int violations = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::printf("VIOLATION: %s\n", what);
-    ++violations;
-  }
-}
+using bench::check;
+using bench::violations;
 
 /// Serialize everything the co-run graph decides for one scenario: the
 /// per-core optimization plans plus the composed effective shares. Two

@@ -3,27 +3,16 @@
 // inputs, both machines. Paper finding: FS mirrors weighted speedup — the
 // resource-efficient method stays clearly ahead of hardware prefetching.
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/mix_study.hh"
 #include "bench_common.hh"
 #include "support/text_table.hh"
 
-namespace {
-int mix_count() {
-  if (const char* env = std::getenv("RE_MIX_COUNT")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  // Averages converge well before the paper's 180 mixes; this binary
-  // evaluates four full studies (2 machines x 2 input sets).
-  return 60;
-}
-}  // namespace
-
 int main() {
   using namespace re;
-  const int count = mix_count();
+  // Averages converge well before the paper's 180 mixes; this binary
+  // evaluates four full studies (2 machines x 2 input sets).
+  const int count = bench::mix_count(60);
   bench::print_header("Figure 10: Fair-Speedup (normalized to baseline)",
                       "Average over " + std::to_string(count) +
                           " mixes; original and different inputs");

@@ -5,25 +5,14 @@
 // moving to different inputs (less optimal prefetching perturbs the mix's
 // resource balance less).
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/mix_study.hh"
 #include "bench_common.hh"
 #include "support/text_table.hh"
 
-namespace {
-int mix_count() {
-  if (const char* env = std::getenv("RE_MIX_COUNT")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 60;
-}
-}  // namespace
-
 int main() {
   using namespace re;
-  const int count = mix_count();
+  const int count = bench::mix_count(60);
   bench::print_header("Figure 11: QoS degradation",
                       "Average over " + std::to_string(count) +
                           " mixes; original and different inputs; closer to "

@@ -5,29 +5,15 @@
 // in 79 % of mixes), never hurts throughput, and reduces off-chip traffic
 // in every case — below baseline in 73 % of the Intel mixes.
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/mix_study.hh"
 #include "bench_common.hh"
 #include "support/series_chart.hh"
 #include "support/text_table.hh"
 
-namespace {
-
-int mix_count() {
-  // Paper uses 180 mixes; RE_MIX_COUNT overrides for quick runs.
-  if (const char* env = std::getenv("RE_MIX_COUNT")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 180;
-}
-
-}  // namespace
-
 int main() {
   using namespace re;
-  const int count = mix_count();
+  const int count = bench::mix_count(180);  // the paper's mix count
   bench::print_header(
       "Figure 7: Mixed-workload throughput and off-chip traffic",
       "Distribution across " + std::to_string(count) +

@@ -6,25 +6,14 @@
 // on average, while hardware prefetching varies widely and degrades ~10 %
 // of the mixes.
 #include <cstdio>
-#include <cstdlib>
 
 #include "analysis/mix_study.hh"
 #include "bench_common.hh"
 #include "support/series_chart.hh"
 
-namespace {
-int mix_count() {
-  if (const char* env = std::getenv("RE_MIX_COUNT")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 180;
-}
-}  // namespace
-
 int main() {
   using namespace re;
-  const int count = mix_count();
+  const int count = bench::mix_count(180);
   bench::print_header(
       "Figure 9: Mixed workloads with different inputs",
       "Plans profiled on Reference inputs, mixes run on Alternate inputs (" +

@@ -107,14 +107,8 @@ runtime::AdaptiveOptions adaptive_options() {
   return opts;
 }
 
-int violations = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::printf("VIOLATION: %s\n", what);
-    ++violations;
-  }
-}
+using bench::check;
+using bench::violations;
 
 }  // namespace
 

@@ -40,14 +40,8 @@ using namespace re;
 
 constexpr std::uint64_t kSeed = 42;
 
-int violations = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::printf("VIOLATION: %s\n", what);
-    ++violations;
-  }
-}
+using bench::check;
+using bench::violations;
 
 }  // namespace
 

@@ -43,14 +43,8 @@ using namespace re;
 
 constexpr std::uint64_t kSeed = 42;
 
-int violations = 0;
-
-void check(bool ok, const char* what) {
-  if (!ok) {
-    std::printf("VIOLATION: %s\n", what);
-    ++violations;
-  }
-}
+using bench::check;
+using bench::violations;
 
 /// Worst-case victim regression vs the solo baseline, in p99 ticks and
 /// degraded-rate percentage points, over well-behaved cores only.

@@ -202,6 +202,37 @@ RefChaos ChaosInjector::advance(int core, std::uint64_t ref_index) {
   return out;
 }
 
+workloads::Program chaos_mix_program(std::uint64_t core,
+                                     std::uint64_t iterations) {
+  workloads::Program p;
+  p.name = "chaos-app-" + std::to_string(core);
+  p.seed = 42 + core;
+  workloads::StaticInst a, b;
+  a.pc = 1;
+  a.pattern = workloads::StreamPattern{core << 36, 64, 4 << 20};
+  b.pc = 2;
+  b.pattern = workloads::HotBufferPattern{(core + 8) << 36, 64, 16 << 10};
+  p.loops.push_back(workloads::Loop{{a, b}, iterations});
+  p.outer_reps = 2;
+  return p;
+}
+
+SupervisorOptions chaos_supervisor_options(std::uint64_t seed) {
+  SupervisorOptions opts;
+  opts.adaptive.window_refs = 1024;
+  opts.adaptive.sampler = core::SamplerConfig{50, 42};
+  opts.adaptive.phases.hysteresis_windows = 1;
+  opts.adaptive.min_reoptimize_refs = 8192;
+  opts.heartbeat_grace_windows = 4;
+  opts.backoff_base_windows = 2;
+  opts.half_open_probe_windows = 2;
+  // Back-to-back episodes chain trips before a probe completes; the budget
+  // is sized to the densest (50 %) schedule in the sweep.
+  opts.max_trips = 8;
+  opts.seed = seed;
+  return opts;
+}
+
 ChaosRunResult run_chaos_mix(
     const sim::MachineConfig& machine,
     const std::vector<const workloads::Program*>& programs, bool hw_prefetch,
@@ -248,6 +279,9 @@ ChaosRunResult run_chaos_mix(
     out.worst_vs_baseline = std::max(out.worst_vs_baseline, slowdown);
   }
   for (const DomainStats& domain : out.domains) {
+    if (domain.state == DomainState::Open) ++out.open_domains;
+    out.total_rollbacks += domain.rollbacks;
+    out.total_recoveries += domain.recoveries;
     if (domain.recoveries > 0) {
       out.worst_recovery_windows =
           std::max(out.worst_recovery_windows, domain.last_recovery_windows);

@@ -162,6 +162,10 @@ struct ChaosRunResult {
   std::uint64_t worst_recovery_windows = 0;
   bool any_open = false;
   int total_trips = 0;
+  /// Totals over the per-core domains.
+  int open_domains = 0;
+  std::uint64_t total_rollbacks = 0;
+  std::uint64_t total_recoveries = 0;
 };
 
 /// Run the chaos experiment. `programs` supplies one core per entry (the
@@ -170,6 +174,16 @@ ChaosRunResult run_chaos_mix(const sim::MachineConfig& machine,
                              const std::vector<const workloads::Program*>& programs,
                              bool hw_prefetch, const ChaosConfig& config,
                              const SupervisorOptions& options = {});
+
+/// The synthetic mix `repf chaos` and bench_chaos_recovery replay schedules
+/// against, one program per core: a stream plus a hot buffer in disjoint
+/// address spaces — enough locality structure for the adaptive pipeline to
+/// chew on, small enough that a sweep over four fault rates stays quick.
+workloads::Program chaos_mix_program(std::uint64_t core,
+                                     std::uint64_t iterations);
+
+/// Supervisor settings for that mix, with schedule seed `seed`.
+SupervisorOptions chaos_supervisor_options(std::uint64_t seed);
 
 /// Crash-consistency sweep for the plan-cache journal. Builds a
 /// deterministic cache, then per trial either simulates a kill mid-write

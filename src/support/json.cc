@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cinttypes>
 #include <cstdio>
 
 // GCC 12 issues spurious -Wmaybe-uninitialized warnings for the recursive
@@ -207,6 +208,22 @@ std::string escape(std::string_view raw) {
     }
   }
   return out;
+}
+
+std::string encode(const Scalar& value) {
+  char buf[64];
+  if (const double* d = std::get_if<double>(&value)) {
+    std::snprintf(buf, sizeof buf, "%.17g", *d);
+  } else if (const std::uint64_t* u = std::get_if<std::uint64_t>(&value)) {
+    std::snprintf(buf, sizeof buf, "%" PRIu64, *u);
+  } else if (const std::int64_t* i = std::get_if<std::int64_t>(&value)) {
+    std::snprintf(buf, sizeof buf, "%" PRId64, *i);
+  } else if (const bool* b = std::get_if<bool>(&value)) {
+    return *b ? "true" : "false";
+  } else {
+    return '"' + escape(std::get<std::string>(value)) + '"';
+  }
+  return buf;
 }
 
 }  // namespace re::json

@@ -2,8 +2,9 @@
 // reports). No external dependencies are available in the build image, so
 // this is a small hand-rolled recursive-descent parser covering the JSON
 // subset the repo emits: objects, arrays, strings (with \uXXXX left as-is),
-// finite numbers, booleans and null. Writers format their JSON by hand; the
-// shared escape helper below keeps the two sides consistent.
+// finite numbers, booleans and null. Writers lay out their documents by
+// hand; the shared escape helper and scalar encoder below keep the two sides
+// consistent.
 #pragma once
 
 #include <cstdint>
@@ -63,5 +64,14 @@ Expected<Value> parse(std::string_view text);
 
 /// Escape a string for embedding in a JSON document (quotes not included).
 std::string escape(std::string_view raw);
+
+/// One scalar as the repo's JSON writers emit it. Integers are held and
+/// written exactly (a 64-bit seed does not survive a round trip through
+/// double); doubles are written with %.17g so they round-trip.
+using Scalar =
+    std::variant<double, std::uint64_t, std::int64_t, std::string, bool>;
+
+/// Encode one scalar as a JSON token (strings quoted and escaped).
+std::string encode(const Scalar& value);
 
 }  // namespace re::json

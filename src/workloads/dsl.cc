@@ -6,8 +6,9 @@
 #include <limits>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
+
+#include "support/numbers.hh"
 
 namespace re::workloads {
 
@@ -56,21 +57,11 @@ std::uint64_t parse_size(const std::string& text, int line) {
     multiplier = 1024 * 1024;
     digits.pop_back();
   }
-  if (digits.empty() || !std::isdigit(static_cast<unsigned char>(digits[0]))) {
-    throw DslParseError(line, "bad number: " + text);
+  const Expected<std::uint64_t> parsed = support::parse_uint64(digits);
+  if (!parsed.has_value()) {
+    throw DslParseError(line, parsed.status().message() + ": " + text);
   }
-  std::uint64_t value = 0;
-  try {
-    std::size_t used = 0;
-    value = std::stoull(digits, &used, 0);
-    if (used != digits.size()) {
-      throw DslParseError(line, "trailing characters in number: " + text);
-    }
-  } catch (const std::out_of_range&) {
-    throw DslParseError(line, "number out of range: " + text);
-  } catch (const std::invalid_argument&) {
-    throw DslParseError(line, "bad number: " + text);
-  }
+  const std::uint64_t value = *parsed;
   if (value > std::numeric_limits<std::uint64_t>::max() / multiplier) {
     throw DslParseError(line, "number out of range: " + text);
   }

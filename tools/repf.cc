@@ -3,33 +3,10 @@
 // pipeline on a DSL file (printing the annotated listing with inserted
 // prefetches), simulate programs under any policy, and measure coverage.
 //
-//   repf list
-//   repf dump <benchmark>
-//   repf optimize <file|benchmark> [--machine amd|intel] [--no-nt]
-//                 [--stride-centric] [--jobs N] [--verbose]
-//   repf run <file|benchmark> [--machine amd|intel] [--hw] [--optimize]
-//                 [--jobs N] [--json FILE]
-//   repf coverage <file|benchmark> [--machine amd|intel]
-//   repf phases <file|benchmark> [--window N] [--threshold X]
-//   repf adapt <file|benchmark> [--machine amd|intel] [--window N]
-//                 [--threshold X] [--save-cache FILE] [--load-cache FILE]
-//                 [--jobs N] [--verbose]
-//   repf faultcheck <file|benchmark> [--machine amd|intel] [--rate PCT]
-//                 [--seed N] [--jobs N] [--verbose]
-//   repf adapt <file|benchmark> ... [--json FILE]
-//   repf verify [--machine amd|intel] [--seed N] [--families a,b,...]
-//                 [--golden DIR] [--bless] [--jobs N] [--json FILE]
-//                 [--verbose]
-//   repf chaos [--machine amd|intel] [--rate PCT] [--seed N] [--cores N]
-//                 [--serve] [--crash-check] [--jobs N] [--json FILE]
-//                 [--verbose]
-//   repf serve [--machine amd|intel] [--cores N] [--steps N] [--seed N]
-//                 [--jobs N] [--json FILE] [--verbose]
-//
-// Every command also understands --help. --jobs N fans independent units
-// (benchmarks, fuzzed traces, fault rates, per-PC curve builds, advisory
-// solves) out over the engine's deterministic executor; output is
-// byte-identical at any N.
+// The subcommands, their flags and their help live in the `kCommands`
+// registry below; `repf --help` and `repf <command> --help` print them.
+// Every command except dump, optimize and commands builds one Report: main
+// prints it as text and, with --json FILE, also writes it as JSON.
 //
 // Exit codes (uniform across commands): 0 success; 1 operational failure
 // (bad file, I/O error, verify mismatch); 2 invalid usage; 3
@@ -39,10 +16,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -62,7 +39,8 @@
 #include "serve/service.hh"
 #include "sim/system.hh"
 #include "support/atomic_file.hh"
-#include "support/json.hh"
+#include "support/numbers.hh"
+#include "support/report.hh"
 #include "support/text_table.hh"
 #include "verify/differential.hh"
 #include "verify/golden.hh"
@@ -80,6 +58,27 @@ constexpr int kExitFailure = 1;   // operational failure (I/O, bad input file)
 constexpr int kExitUsage = 2;     // invalid arguments
 constexpr int kExitDegraded = 3;  // never-hurts / recovery gate violated
 
+// Per-command --seed defaults.
+constexpr std::uint64_t kFaultSeed = 0xFA57;   // faultcheck
+constexpr std::uint64_t kFuzzSeed = 42;        // verify, corun
+constexpr std::uint64_t kChaosSeed = 0xC4A05;  // chaos, serve
+
+// JSON keys that more than one report writes. Every other key is written
+// once, at the cell that carries it.
+constexpr const char* kBenchmarkKey = "benchmark";
+constexpr const char* kMachineKey = "machine";
+constexpr const char* kSeedKey = "seed";
+constexpr const char* kCoresKey = "cores";
+constexpr const char* kReferencesKey = "references";
+constexpr const char* kPhasesKey = "phases";
+constexpr const char* kBaselineCyclesKey = "baseline_cycles";
+constexpr const char* kRatesKey = "rates";
+constexpr const char* kCrashCheckKey = "crash_check";
+constexpr const char* kTrialsKey = "trials";
+constexpr const char* kWarmFilesRejectedKey = "warm_files_rejected";
+constexpr const char* kWarmEntriesLoadedKey = "warm_entries_loaded";
+constexpr const char* kWarmEntriesQuarantinedKey = "warm_entries_quarantined";
+
 struct Options {
   std::string command;
   std::string target;
@@ -90,14 +89,12 @@ struct Options {
   bool stride_centric = false;
   bool verbose = false;
   bool help = false;
-  /// Fault rate for `faultcheck` as a fraction; negative = sweep the
-  /// default {0, 5, 20, 50} % ladder.
+  /// Fault rate for `faultcheck` and `chaos` as a fraction; negative =
+  /// sweep the command's default ladder.
   double fault_rate = -1.0;
-  std::uint64_t fault_seed = 0xFA57;
-  /// Fuzzer seed for `verify` (also set by --seed; own default).
-  std::uint64_t verify_seed = 42;
-  /// Schedule seed for `chaos` (also set by --seed; own default).
-  std::uint64_t chaos_seed = 0xC4A05;
+  /// --seed; unset = the command's default (kFaultSeed, kFuzzSeed or
+  /// kChaosSeed).
+  std::optional<std::uint64_t> seed;
   /// Cores in the `chaos` synthetic mix ([1, 16], checked in cmd_chaos) or
   /// simulated client cores in `serve` (no upper bound — the service is
   /// virtual-time, 10k+ cores is the intended overload regime).
@@ -132,309 +129,68 @@ struct Options {
   /// Engine worker count (--jobs). 1 = serial; any N yields byte-identical
   /// output (the executor's determinism contract).
   int jobs = 1;
-  /// Also write the command's report as JSON to this path (atomic write);
-  /// `run`, `adapt`, `verify`, `chaos`, and `serve` honor it.
+  /// Also write the command's report as JSON to this path (atomic write).
   std::string json_path;
 };
 
-/// The subcommand registry: one row per command, driving usage(), the
-/// machine-readable `repf commands` listing, and the CLI self-test (every
-/// registered command must appear in --help and answer `<cmd> --help`
-/// with exit 0). Add new commands here, in help_for(), and in main().
-struct CommandInfo {
-  const char* name;
-  /// Preformatted usage block (argument stub + aligned description lines).
-  const char* block;
+/// The `ok` field; in a row table it is the verdict column.
+Cell ok_cell(bool ok, const char* failure = "VIOLATION") {
+  return {"ok", "verdict", ok, ok ? "OK" : failure};
+}
+
+Cell fault_rate_cell(double rate, int decimals) {
+  return percent_cell("fault_rate", "fault rate", rate, decimals);
+}
+
+/// One unit of a fanned-out sweep: its table row, its verdict and the text
+/// printed after the table (logs, per-unit reports).
+struct UnitRow {
+  std::vector<Cell> row;
+  bool ok = true;
+  std::string details;
 };
 
-constexpr CommandInfo kCommands[] = {
-    {"list", "  list                         list built-in workload models\n"},
-    {"dump", "  dump <benchmark>             print a workload in the DSL\n"},
-    {"optimize",
-     "  optimize <file|benchmark>    run the pipeline, print the annotated\n"
-     "                               listing\n"},
-    {"run", "  run <file|benchmark>         simulate under a chosen policy\n"},
-    {"coverage",
-     "  coverage <file|benchmark>    Table-I style coverage row\n"},
-    {"phases",
-     "  phases <file|benchmark>      detect execution phases\n"},
-    {"adapt",
-     "  adapt <file|benchmark>       run the online adaptive controller,\n"
-     "                               compare vs baseline and static plan\n"},
-    {"faultcheck",
-     "  faultcheck <file|benchmark>  inject profile faults, verify the\n"
-     "                               never-hurts degradation invariant\n"},
-    {"verify",
-     "  verify                       differential oracle (StatStack vs\n"
-     "                               exact LRU) and golden-plan snapshots\n"},
-    {"corun",
-     "  corun                        co-run scenario matrix: composed\n"
-     "                               shared-LLC model vs the exact\n"
-     "                               interleaved-LRU oracle\n"},
-    {"chaos",
-     "  chaos                        replay a seeded fault schedule against\n"
-     "                               the supervised runtime, check recovery\n"
-     "                               (--serve targets the advisory service)\n"},
-    {"serve",
-     "  serve                        run the advisory plan service under\n"
-     "                               simulated client load, check the\n"
-     "                               overload/degradation gates\n"},
-    {"commands",
-     "  commands                     print registered subcommand names, one\n"
-     "                               per line (for scripts and self-tests)\n"},
-};
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: repf <command> [args]   (repf <command> --help for "
-               "details)\n");
-  for (const CommandInfo& command : kCommands) {
-    std::fputs(command.block, stderr);
+/// Add `units` as the row table `key`, followed by their details. Returns
+/// how many units failed.
+int add_units(Report& report, const char* key,
+              const std::vector<UnitRow>& units) {
+  std::vector<std::vector<Cell>> rows;
+  std::string details;
+  int failed = 0;
+  for (const UnitRow& unit : units) {
+    rows.push_back(unit.row);
+    details += unit.details;
+    if (!unit.ok) ++failed;
   }
-  std::fprintf(
-      stderr,
-      "exit codes: 0 ok, 1 operational failure, 2 invalid usage,\n"
-      "            3 degradation-gate violation (output names the seed)\n");
-  return kExitUsage;
+  report.rows(key, std::move(rows));
+  report.text(std::move(details));
+  return failed;
 }
 
-/// `repf commands`: the registry, machine-readable. The CLI self-test
-/// iterates this to prove every command is documented and help-answering.
-int cmd_commands() {
-  for (const CommandInfo& command : kCommands) {
-    std::printf("%s\n", command.name);
+/// Close a gated report: the `ok` field, then the verdict line. A failure
+/// names the seed that reproduces it and exits kExitDegraded.
+int gate_verdict(Report& report, int violations, std::uint64_t seed,
+                 const char* failed, const char* violation, const char* holds) {
+  report.field(ok_cell(violations == 0));
+  if (violations == 0) {
+    report.text(holds);
+    return 0;
   }
-  return 0;
+  report.print("%s: %d %s (reproduce with --seed %llu)\n", failed, violations,
+               violation, static_cast<unsigned long long>(seed));
+  return kExitDegraded;
 }
 
-/// Detailed per-command help. Returns nullptr for unknown commands.
-const char* help_for(const std::string& command) {
-  if (command == "list") {
-    return "repf list\n"
-           "  Print every built-in workload model (paper Table I) with its\n"
-           "  dynamic reference count and static load count.\n";
-  }
-  if (command == "dump") {
-    return "repf dump <benchmark>\n"
-           "  Print a built-in workload in the trace-program DSL, suitable\n"
-           "  for editing and feeding back to any other command.\n";
-  }
-  if (command == "optimize") {
-    return "repf optimize <file|benchmark> [options]\n"
-           "  Run the full sampling -> StatStack -> MDDLI -> stride ->\n"
-           "  bypass pipeline and print the annotated listing with the\n"
-           "  inserted prefetches.\n"
-           "    --machine amd|intel   target machine model (default amd)\n"
-           "    --no-nt               disable non-temporal (bypass) hints\n"
-           "    --stride-centric      use the stride-centric baseline pass\n"
-           "                          instead of the MDDLI pipeline\n"
-           "    --jobs N              engine workers for the pipeline\n"
-           "                          (byte-identical output at any N)\n"
-           "    --verbose             also print the effective analysis\n"
-           "                          knobs and the executor config\n"
-           "                          (audit trail)\n";
-  }
-  if (command == "run") {
-    return "repf run <file|benchmark> [options]\n"
-           "  Simulate one program alone on core 0 and print run metrics.\n"
-           "    --machine amd|intel   target machine model (default amd)\n"
-           "    --hw                  enable the hardware prefetcher\n"
-           "    --optimize            software-prefetch via the pipeline\n"
-           "                          before running\n"
-           "    --jobs N              engine workers for the optimize step\n"
-           "                          (byte-identical output at any N)\n"
-           "    --json FILE           also write the metrics as JSON\n"
-           "                          (atomic temp-file + rename)\n";
-  }
-  if (command == "coverage") {
-    return "repf coverage <file|benchmark> [--machine amd|intel]\n"
-           "  Measure miss coverage and overhead (paper Table I columns)\n"
-           "  for the MDDLI-filtered and stride-centric passes.\n";
-  }
-  if (command == "phases") {
-    return "repf phases <file|benchmark> [options]\n"
-           "  Profile the program, fingerprint fixed-size windows by their\n"
-           "  per-PC frequency signatures and cluster them into phases.\n"
-           "    --window N      window size in references (default 65536)\n"
-           "    --threshold X   signature Manhattan-distance threshold in\n"
-           "                    [0, 2] below which windows share a phase\n"
-           "                    (default 0.5)\n";
-  }
-  if (command == "adapt") {
-    return "repf adapt <file|benchmark> [options]\n"
-           "  Run the online adaptive prefetch runtime (windowed sampling,\n"
-           "  phase detection, plan cache, bandwidth governor) against the\n"
-           "  no-prefetch baseline and the offline static plan.\n"
-           "    --machine amd|intel   target machine model (default amd)\n"
-           "    --window N            adaptation window in references\n"
-           "                          (default 1024)\n"
-           "    --threshold X         phase-match threshold in [0, 2]\n"
-           "                          (default 0.5)\n"
-           "    --save-cache FILE     write the learned plan cache as JSON\n"
-           "    --load-cache FILE     warm-start from a saved plan cache\n"
-           "    --jobs N              engine workers for the offline plan\n"
-           "                          and per-window re-optimizations\n"
-           "    --json FILE           also write the comparison as JSON\n"
-           "                          (atomic temp-file + rename)\n"
-           "    --verbose             also print the cached plan sets\n";
-  }
-  if (command == "faultcheck") {
-    return "repf faultcheck <file|benchmark> [options]\n"
-           "  Inject sampling faults into the profile and verify the\n"
-           "  never-hurts degradation invariant end-to-end.\n"
-           "    --machine amd|intel   target machine model (default amd)\n"
-           "    --rate PCT            single fault rate in percent\n"
-           "                          (default: sweep 0/5/20/50)\n"
-           "    --seed N              fault-injection seed\n"
-           "    --jobs N              evaluate fault rates on N engine\n"
-           "                          workers (byte-identical output)\n"
-           "    --verbose             print the degradation logs\n";
-  }
-  if (command == "chaos") {
-    return "repf chaos [options]\n"
-           "  Generate a seeded schedule of fault episodes (window drops,\n"
-           "  clock skew, governor blackout, profile corruption), replay it\n"
-           "  against the supervised adaptive runtime on a synthetic\n"
-           "  multi-core mix, and check the recovery gates: the chaotic run\n"
-           "  never loses more than 1 % to the no-prefetch baseline, every\n"
-           "  recovery completes within 64 windows, no circuit opens, and a\n"
-           "  zero-fault schedule trips nothing. Output is deterministic:\n"
-           "  same seed, same bytes. Exits 3 if any gate fails.\n"
-           "    --machine amd|intel   target machine model (default amd)\n"
-           "    --rate PCT            single fault rate in percent\n"
-           "                          (default: sweep 0/10/25/50)\n"
-           "    --seed N              schedule seed (default 0xC4A05)\n"
-           "    --cores N             cores in the synthetic mix\n"
-           "                          (default 2, max 16)\n"
-           "    --serve               target the advisory service tier: a\n"
-           "                          fault-rate sweep of injected cache\n"
-           "                          faults with double-run determinism,\n"
-           "                          breaker, and degradation gates\n"
-           "    --crash-check         also sweep crash consistency: plan\n"
-           "                          cache kill/corruption, or with --serve\n"
-           "                          the journal tear/recover/ack audit\n"
-           "    --poison-warm-start   with --serve: also sweep poisoned\n"
-           "                          warm-start recovery — bit-flipped,\n"
-           "                          stale-fingerprint, and truncated shard\n"
-           "                          journals must cost cache warmth only\n"
-           "                          (quarantine/reject), never a stale or\n"
-           "                          alien plan, a lost ack, or the daemon\n"
-           "    --jobs N              replay fault rates on N engine\n"
-           "                          workers (byte-identical output)\n"
-           "    --json FILE           also write the gate results as JSON\n"
-           "                          (atomic temp-file + rename)\n"
-           "    --verbose             print the fault schedule and per-core\n"
-           "                          domain stats\n";
-  }
-  if (command == "serve") {
-    return "repf serve [options]\n"
-           "  Run the long-lived advisory plan service against seeded mixed\n"
-           "  hot/cold traffic from N simulated client cores in virtual\n"
-           "  time: cache hits answer immediately, misses solve on the\n"
-           "  analysis engine under a deadline budget with cooperative\n"
-           "  cancellation, and overload degrades (last-known-good or\n"
-           "  no-prefetch) instead of blocking. Checks the robustness\n"
-           "  gates: bounded queue, no deadline-missed answer served as\n"
-           "  fresh, every degraded answer safe. Output is deterministic:\n"
-           "  same seed, same bytes, at any --jobs. Exits 3 on any gate\n"
-           "  failure.\n"
-           "    --machine amd|intel   target machine model (default amd)\n"
-           "    --cores N             simulated client cores (default 64;\n"
-           "                          no upper bound — virtual time)\n"
-           "    --steps N             virtual ticks to run (default 512)\n"
-           "    --seed N              traffic/service seed (default 0xC4A05)\n"
-           "    --journal DIR         journal acked plans to per-shard\n"
-           "                          append-mode files under DIR (created\n"
-           "                          if missing), headers stamped with the\n"
-           "                          machine-model/knob fingerprint\n"
-           "    --warm-start DIR      trust-but-verify warm start from a\n"
-           "                          prior run's shard journals in DIR:\n"
-           "                          fingerprint + CRC + plan-sanity\n"
-           "                          revalidation, suspect state is\n"
-           "                          quarantined (that phase re-solves\n"
-           "                          fresh), never served\n"
-           "    --jobs N              engine workers for the solve batches\n"
-           "                          (byte-identical output at any N)\n"
-           "    --json FILE           also write the metrics as JSON\n"
-           "                          (atomic temp-file + rename)\n"
-           "    --verbose             also print the per-shard breaker\n"
-           "                          states and cache sizes\n";
-  }
-  if (command == "verify") {
-    return "repf verify [options]\n"
-           "  Run the differential verification harness: fuzzed traces with\n"
-           "  known analytic truth are replayed once into both the sampled\n"
-           "  StatStack estimator and an exact-LRU reference model, and the\n"
-           "  miss-ratio curves plus MDDLI/bypass decisions are compared.\n"
-           "  Output is deterministic: same seed, same bytes.\n"
-           "    --machine amd|intel   target machine model (default amd)\n"
-           "    --seed N              fuzzer seed (default 42)\n"
-           "    --families a,b,...    restrict to these fuzzer families\n"
-           "                          (strided subline chase blocked\n"
-           "                          phasemix hotcold; default all)\n"
-           "    --golden DIR          also check the suite's prefetch plans\n"
-           "                          against DIR/plans_<machine>.golden\n"
-           "    --bless               rewrite the golden snapshot instead\n"
-           "                          of checking it\n"
-           "    --jobs N              fan traces and golden benchmarks out\n"
-           "                          over N engine workers\n"
-           "                          (byte-identical output at any N)\n"
-           "    --json FILE           also write the results as JSON\n"
-           "                          (atomic temp-file + rename)\n"
-           "    --verbose             print the full per-trace reports\n";
-  }
-  if (command == "commands") {
-    return "repf commands\n"
-           "  Print every registered subcommand name, one per line. The CLI\n"
-           "  self-test iterates this list to prove each command appears in\n"
-           "  --help and answers `repf <cmd> --help` with exit 0.\n";
-  }
-  if (command == "corun") {
-    return "repf corun [options]\n"
-           "  Run the multi-programmed co-run scenario matrix: per-core\n"
-           "  StatStack profiles are composed into shared-LLC miss-ratio\n"
-           "  curves (interleaving-ratio reuse inflation) and checked\n"
-           "  against one exact LRU stack over the interleaved trace, with\n"
-           "  per-family error bounds, an exact per-core miss-attribution\n"
-           "  identity, and the streaming-vs-chase interference prediction\n"
-           "  (hardware prefetching must be predicted to degrade the chase\n"
-           "  victim). Output is deterministic: same seed, same bytes.\n"
-           "    --machine amd|intel   target machine model (default amd)\n"
-           "    --seed N              fuzzer seed (default 42)\n"
-           "    --cores N             run only this core count\n"
-           "                          (default matrix: 2, 4, 8; max 16)\n"
-           "    --golden DIR          also check the co-run victim plans\n"
-           "                          against DIR/corun_plans_<machine>\n"
-           "                          .golden\n"
-           "    --bless               rewrite the golden snapshot instead\n"
-           "                          of checking it\n"
-           "    --jobs N              fan scenario cells and golden\n"
-           "                          benchmarks out over N engine workers\n"
-           "                          (byte-identical output at any N)\n"
-           "    --json FILE           also write the results as JSON\n"
-           "                          (atomic temp-file + rename)\n"
-           "    --verbose             print the full per-scenario reports\n";
-  }
-  return nullptr;
-}
-
-/// Round-trippable rendering for JSON number output.
-std::string json_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return std::string(buf);
-}
-
-/// Atomic-write a command's JSON report; prints the error and returns
-/// kExitFailure on I/O trouble, 0 otherwise.
-int write_json_report(const std::string& path, const std::string& payload) {
-  const Status saved = support::write_file_atomic(path, payload);
-  if (!saved.ok()) {
-    std::fprintf(stderr, "repf: %s: %s\n", path.c_str(),
-                 saved.to_string().c_str());
-    return kExitFailure;
-  }
-  return 0;
+/// The `machine` and `seed` fields, and the header line that names them:
+/// `# repf <title> | machine=M | seed=S<details>`.
+void seeded_header(Report& report, const Options& opts, std::uint64_t seed,
+                   const char* title, const std::string& details) {
+  report.fields("", {},
+                {cell(kMachineKey, "", opts.machine.name),
+                 cell(kSeedKey, "", seed)});
+  report.print("# repf %s | machine=%s | seed=%llu%s\n", title,
+               opts.machine.name.c_str(),
+               static_cast<unsigned long long>(seed), details.c_str());
 }
 
 workloads::Program load_target(const std::string& target) {
@@ -442,34 +198,73 @@ workloads::Program load_target(const std::string& target) {
   if (std::find(names.begin(), names.end(), target) != names.end()) {
     return workloads::make_benchmark(target);
   }
-  std::ifstream file(target);
-  if (!file) {
+  const Expected<std::string> text = support::read_file(target);
+  if (!text.has_value()) {
     throw std::runtime_error("no such benchmark or file: " + target);
   }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return workloads::parse_program(text.str());
+  return workloads::parse_program(*text);
 }
 
-int cmd_list() {
-  std::printf("built-in workload models (paper Table I):\n");
-  TextTable table({"benchmark", "refs/run", "static loads"});
+/// Check freshly rendered plans against the golden snapshot
+/// `--golden DIR/filename(machine)`, or rewrite the snapshot under
+/// --bless. `render` runs only when --golden is given. Adds the status lines
+/// and the `golden` field; returns false when the snapshot is missing or
+/// differs.
+template <typename Render>
+bool check_golden(const Options& opts,
+                  std::string (*filename)(const std::string&),
+                  const char* title, Render render, Report& report) {
+  std::string status = "skipped";
+  if (!opts.golden_dir.empty()) {
+    const std::string path =
+        opts.golden_dir + "/" + filename(opts.machine.name);
+    const std::string rendered = render();
+    if (opts.bless) {
+      const Status saved = support::write_file_atomic(path, rendered);
+      if (!saved.ok()) {
+        throw std::runtime_error(path + ": " + saved.to_string());
+      }
+      report.print("== %s: blessed %s\n", title, path.c_str());
+      status = "blessed";
+    } else if (const Expected<std::string> golden = support::read_file(path);
+               !golden.has_value()) {
+      report.print("== %s: %s missing (run with --bless)\n", title,
+                   path.c_str());
+      status = "missing";
+    } else if (const std::string diff = verify::diff_golden(*golden, rendered);
+               diff.empty()) {
+      report.print("== %s: %s matches\n", title, path.c_str());
+      status = "match";
+    } else {
+      report.print("== %s: %s DIFFERS (-golden/+current)\n%s", title,
+                   path.c_str(), diff.c_str());
+      status = "differs";
+    }
+  }
+  report.field(cell("golden", "", status));
+  return status != "missing" && status != "differs";
+}
+
+int cmd_list(const Options&, Report& report) {
+  report.text("built-in workload models (paper Table I):\n");
+  std::vector<std::vector<Cell>> rows;
   for (const std::string& name : workloads::suite_names()) {
     const auto p = workloads::make_benchmark(name);
-    table.add_row({name, std::to_string(p.total_references()),
-                   std::to_string(p.static_instruction_count())});
+    rows.push_back({cell(kBenchmarkKey, "benchmark", name),
+                    cell(kReferencesKey, "refs/run", p.total_references()),
+                    cell("static_loads", "static loads",
+                         p.static_instruction_count())});
   }
-  std::fputs(table.render().c_str(), stdout);
+  report.rows("benchmarks", std::move(rows));
   return 0;
 }
 
-int cmd_dump(const Options& opts) {
-  std::fputs(workloads::print_program(load_target(opts.target)).c_str(),
-             stdout);
+int cmd_dump(const Options& opts, Report& report) {
+  report.text(workloads::print_program(load_target(opts.target)));
   return 0;
 }
 
-int cmd_optimize(const Options& opts) {
+int cmd_optimize(const Options& opts, Report& report) {
   const workloads::Program program = load_target(opts.target);
   engine::AnalysisKnobs knobs;
   knobs.enable_non_temporal = opts.enable_nt;
@@ -477,36 +272,37 @@ int cmd_optimize(const Options& opts) {
   const engine::Executor executor(opts.jobs);
   engine::ArtifactStore store;
   const engine::EngineContext ctx{&executor, &store};
-  const core::OptimizationReport report =
+  const core::OptimizationReport result =
       opts.stride_centric
           ? engine::run_stride_centric(program, opts.machine, options, ctx)
           : engine::run_optimize(program, opts.machine, options, ctx);
 
   if (opts.verbose) {
-    std::printf("# effective analysis knobs:\n");
+    report.print("# effective analysis knobs:\n");
     std::istringstream lines(engine::describe_knobs(knobs));
     std::string line;
     while (std::getline(lines, line)) {
-      std::printf("#   %s\n", line.c_str());
+      report.print("#   %s\n", line.c_str());
     }
     // Execution config: the analysis result never depends on it, the
     // wall-clock (and the audit trail) does.
-    std::printf("# executor: %s\n",
-                engine::describe_executor(executor).c_str());
+    report.print("# executor: %s\n",
+                 engine::describe_executor(executor).c_str());
   }
-  std::printf("# %s pass on %s | Δ=%.2f cycles/memop | %zu plans\n",
-              opts.stride_centric ? "stride-centric" : "MDDLI",
-              opts.machine.name.c_str(), report.cycles_per_memop,
-              report.plans.size());
-  for (const auto& plan : report.plans) {
-    std::printf("#   pc%-3u %s %+lld\n", plan.pc, core::hint_mnemonic(plan.hint),
-                static_cast<long long>(plan.distance_bytes));
+  report.print("# %s pass on %s | Δ=%.2f cycles/memop | %zu plans\n",
+               opts.stride_centric ? "stride-centric" : "MDDLI",
+               opts.machine.name.c_str(), result.cycles_per_memop,
+               result.plans.size());
+  for (const auto& plan : result.plans) {
+    report.print("#   pc%-3u %s %+lld\n", plan.pc,
+                 core::hint_mnemonic(plan.hint),
+                 static_cast<long long>(plan.distance_bytes));
   }
-  std::fputs(workloads::print_program(report.optimized).c_str(), stdout);
+  report.text(workloads::print_program(result.optimized));
   return 0;
 }
 
-int cmd_run(const Options& opts) {
+int cmd_run(const Options& opts, Report& report) {
   workloads::Program program = load_target(opts.target);
   if (opts.optimize) {
     engine::AnalysisKnobs knobs;
@@ -524,88 +320,77 @@ int cmd_run(const Options& opts) {
   const double cpi = static_cast<double>(run.apps[0].cycles) /
                      static_cast<double>(mem.loads);
 
-  TextTable table({"metric", "value"});
-  table.add_row({"machine", opts.machine.name});
-  table.add_row({"cycles", std::to_string(run.apps[0].cycles)});
-  table.add_row({"references", std::to_string(mem.loads)});
-  table.add_row({"CPI (per memop)", format_double(cpi, 2)});
-  table.add_row({"L1 miss ratio", format_percent(mem.l1_miss_ratio())});
-  table.add_row({"off-chip lines", std::to_string(run.dram.total_lines())});
-  table.add_row({"bandwidth", format_gbps(run.bandwidth_gbps())});
-  table.add_row({"sw prefetches", std::to_string(mem.sw_prefetches_issued)});
-  table.add_row({"late prefetches", std::to_string(mem.late_prefetch_hits)});
-  table.add_row(
-      {"hw prefetch lines", std::to_string(mem.hw_prefetch_dram_lines)});
-  std::fputs(table.render().c_str(), stdout);
-
-  if (!opts.json_path.empty()) {
-    const auto& num = json_num;
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"command\": \"run\",\n"
-         << "  \"benchmark\": \"" << json::escape(program.name) << "\",\n"
-         << "  \"machine\": \"" << json::escape(opts.machine.name) << "\",\n"
-         << "  \"hw_prefetch\": " << (opts.hw_prefetch ? "true" : "false")
-         << ",\n"
-         << "  \"optimized\": " << (opts.optimize ? "true" : "false") << ",\n"
-         << "  \"cycles\": " << run.apps[0].cycles << ",\n"
-         << "  \"references\": " << mem.loads << ",\n"
-         << "  \"cpi_per_memop\": " << num(cpi) << ",\n"
-         << "  \"l1_miss_ratio\": " << num(mem.l1_miss_ratio()) << ",\n"
-         << "  \"offchip_lines\": " << run.dram.total_lines() << ",\n"
-         << "  \"bandwidth_gbps\": " << num(run.bandwidth_gbps()) << ",\n"
-         << "  \"sw_prefetches\": " << mem.sw_prefetches_issued << ",\n"
-         << "  \"late_prefetches\": " << mem.late_prefetch_hits << ",\n"
-         << "  \"hw_prefetch_lines\": " << mem.hw_prefetch_dram_lines << "\n"
-         << "}\n";
-    const int rc = write_json_report(opts.json_path, json.str());
-    if (rc != 0) return rc;
-  }
+  report.fields(
+      "", {"metric", "value"},
+      {cell(kBenchmarkKey, "", program.name),
+       cell(kMachineKey, "machine", opts.machine.name),
+       {"hw_prefetch", "", opts.hw_prefetch, ""},
+       {"optimized", "", opts.optimize, ""},
+       cell("cycles", "cycles", run.apps[0].cycles),
+       cell(kReferencesKey, "references", mem.loads),
+       decimal_cell("cpi_per_memop", "CPI (per memop)", cpi, 2),
+       percent_cell("l1_miss_ratio", "L1 miss ratio", mem.l1_miss_ratio()),
+       cell("offchip_lines", "off-chip lines", run.dram.total_lines()),
+       {"bandwidth_gbps", "bandwidth", run.bandwidth_gbps(),
+        format_gbps(run.bandwidth_gbps())},
+       cell("sw_prefetches", "sw prefetches", mem.sw_prefetches_issued),
+       cell("late_prefetches", "late prefetches", mem.late_prefetch_hits),
+       cell("hw_prefetch_lines", "hw prefetch lines",
+            mem.hw_prefetch_dram_lines)});
   return 0;
 }
 
-int cmd_phases(const Options& opts) {
+int cmd_phases(const Options& opts, Report& report) {
   const workloads::Program program = load_target(opts.target);
   core::PhaseOptions phase_options;
   if (opts.window > 0) phase_options.window_refs = opts.window;
   if (opts.threshold > 0.0) phase_options.similarity_threshold = opts.threshold;
   const core::PhasedProfile phased =
       core::profile_with_phases(program, {}, phase_options);
-  std::printf("%d phase(s) over %llu references\n", phased.num_phases,
-              static_cast<unsigned long long>(
-                  phased.full.total_references));
-  TextTable table({"segment", "phase", "begin", "end", "refs"});
+  report.fields("", {},
+                {cell(kBenchmarkKey, "", program.name),
+                 cell(kPhasesKey, "", phased.num_phases),
+                 cell(kReferencesKey, "", phased.full.total_references)});
+  report.print("%d phase(s) over %llu references\n", phased.num_phases,
+               static_cast<unsigned long long>(
+                   phased.full.total_references));
+  std::vector<std::vector<Cell>> rows;
   for (std::size_t i = 0; i < phased.segments.size(); ++i) {
     const auto& seg = phased.segments[i];
-    table.add_row({std::to_string(i), std::to_string(seg.phase_id),
-                   std::to_string(seg.begin_ref),
-                   std::to_string(seg.end_ref),
-                   std::to_string(seg.end_ref - seg.begin_ref)});
+    rows.push_back({cell("segment", "segment", i),
+                    cell("phase", "phase", seg.phase_id),
+                    cell("begin", "begin", seg.begin_ref),
+                    cell("end", "end", seg.end_ref),
+                    cell("refs", "refs", seg.end_ref - seg.begin_ref)});
   }
-  std::fputs(table.render().c_str(), stdout);
+  report.rows("segments", std::move(rows));
   return 0;
 }
 
-int cmd_coverage(const Options& opts) {
+int cmd_coverage(const Options& opts, Report& report) {
   const workloads::Program program = load_target(opts.target);
   const auto mddli = core::optimize_program(program, opts.machine);
   const auto centric = core::stride_centric_optimize(program, opts.machine);
-  const auto cov_m = analysis::measure_coverage(program, mddli.optimized,
-                                                opts.machine.l1);
-  const auto cov_c = analysis::measure_coverage(program, centric.optimized,
-                                                opts.machine.l1);
-  TextTable table({"method", "miss coverage", "OH", "prefetches"});
-  table.add_row({"MDDLI filtered", format_percent(cov_m.miss_coverage()),
-                 format_double(cov_m.overhead(), 1),
-                 std::to_string(cov_m.prefetches_executed)});
-  table.add_row({"stride-centric", format_percent(cov_c.miss_coverage()),
-                 format_double(cov_c.overhead(), 1),
-                 std::to_string(cov_c.prefetches_executed)});
-  std::fputs(table.render().c_str(), stdout);
+  const auto row = [&](const char* method,
+                       const core::OptimizationReport& optimized) {
+    const auto coverage = analysis::measure_coverage(
+        program, optimized.optimized, opts.machine.l1);
+    return std::vector<Cell>{
+        cell("method", "method", method),
+        percent_cell("miss_coverage", "miss coverage",
+                     coverage.miss_coverage()),
+        decimal_cell("overhead", "OH", coverage.overhead(), 1),
+        cell("prefetches", "prefetches", coverage.prefetches_executed)};
+  };
+  report.fields("", {},
+                {cell(kBenchmarkKey, "", program.name),
+                 cell(kMachineKey, "", opts.machine.name)});
+  report.rows("methods",
+              {row("MDDLI filtered", mddli), row("stride-centric", centric)});
   return 0;
 }
 
-int cmd_adapt(const Options& opts) {
+int cmd_adapt(const Options& opts, Report& report) {
   const workloads::Program program = load_target(opts.target);
 
   // One executor for the whole command: the offline static plan and every
@@ -631,19 +416,19 @@ int cmd_adapt(const Options& opts) {
     // fatal (warm-starting from a partial cache beats cold-starting).
     auto loaded = runtime::PlanCache::load_file(opts.load_cache, aopts.cache);
     if (!loaded.has_value()) {
-      std::fprintf(stderr, "repf: %s: %s\n", opts.load_cache.c_str(),
-                   loaded.status().to_string().c_str());
-      return kExitFailure;
+      throw std::runtime_error(opts.load_cache + ": " +
+                               loaded.status().to_string());
     }
-    runtime::PlanCache::LoadReport report = std::move(loaded.value());
-    controller.plan_cache() = std::move(report.cache);
-    std::printf("# warm start: %zu cached plan set(s) from %s\n",
-                controller.plan_cache().size(), opts.load_cache.c_str());
-    if (report.degraded()) {
-      std::printf("# degraded load: %zu loaded, %zu quarantined, %zu missing\n",
-                  report.loaded, report.quarantined, report.missing);
-      for (const std::string& line : report.quarantine_log) {
-        std::printf("#   quarantined: %s\n", line.c_str());
+    runtime::PlanCache::LoadReport load = std::move(loaded.value());
+    controller.plan_cache() = std::move(load.cache);
+    report.print("# warm start: %zu cached plan set(s) from %s\n",
+                 controller.plan_cache().size(), opts.load_cache.c_str());
+    if (load.degraded()) {
+      report.print(
+          "# degraded load: %zu loaded, %zu quarantined, %zu missing\n",
+          load.loaded, load.quarantined, load.missing);
+      for (const std::string& line : load.quarantine_log) {
+        report.print("#   quarantined: %s\n", line.c_str());
       }
     }
   }
@@ -659,47 +444,56 @@ int cmd_adapt(const Options& opts) {
       sim::run_single_adaptive(opts.machine, program, false, controller);
   const runtime::AdaptiveStats stats = controller.stats();
 
+  report.fields("", {},
+                {cell(kBenchmarkKey, "", program.name),
+                 cell(kMachineKey, "", opts.machine.name),
+                 cell("window_refs", "", aopts.window_refs)});
   const double base_cycles = static_cast<double>(base.apps[0].cycles);
-  TextTable runs({"configuration", "cycles", "speedup vs baseline"});
-  const auto row = [&](const char* name, const sim::RunResult& r) {
-    runs.add_row({name, std::to_string(r.apps[0].cycles),
-                  format_double(base_cycles /
-                                    static_cast<double>(r.apps[0].cycles),
-                                3)});
+  const auto row = [&](const char* name, const sim::RunResult& r,
+                       const char* cycles_key, const char* speedup_key) {
+    const double speedup =
+        base_cycles / static_cast<double>(r.apps[0].cycles);
+    return std::vector<Cell>{
+        cell("", "configuration", name),
+        cell(cycles_key, "cycles", r.apps[0].cycles),
+        decimal_cell(speedup_key, "speedup vs baseline", speedup, 3)};
   };
-  row("baseline (no prefetch)", base);
-  row("static plan (offline)", stat);
-  row("online adaptive", adaptive);
-  std::fputs(runs.render().c_str(), stdout);
+  // Flattened into the top level: the cycles of each run, then the two
+  // speedups (the baseline's own 1.000 is text-only).
+  report.rows("", {row("baseline (no prefetch)", base, kBaselineCyclesKey, ""),
+                   row("static plan (offline)", stat, "static_cycles",
+                       "static_speedup"),
+                   row("online adaptive", adaptive, "adaptive_cycles",
+                       "adaptive_speedup")});
 
-  TextTable table({"adaptive runtime metric", "value"});
-  table.add_row({"windows", std::to_string(stats.windows)});
-  table.add_row({"phases detected", std::to_string(stats.phases)});
-  table.add_row({"phase switches", std::to_string(stats.phase_switches)});
-  table.add_row({"re-optimizations", std::to_string(stats.reoptimizations)});
-  table.add_row({"  of which refinements", std::to_string(stats.refinements)});
-  table.add_row({"plan hot-swaps", std::to_string(stats.hot_swaps)});
-  table.add_row({"plan-cache hit rate",
-                 format_percent(stats.cache.hit_rate())});
-  table.add_row({"measured Δ (cycles/memop)",
-                 format_double(stats.measured_cycles_per_memop, 2)});
-  table.add_row({"governor demote windows",
-                 std::to_string(stats.governor.demote_windows)});
-  table.add_row({"governor suppress windows",
-                 std::to_string(stats.governor.suppress_windows)});
-  table.add_row({"governor peak utilization",
-                 format_percent(stats.governor.peak_utilization)});
-  std::fputs(table.render().c_str(), stdout);
+  report.fields(
+      "", {"adaptive runtime metric", "value"},
+      {cell("windows", "windows", stats.windows),
+       cell(kPhasesKey, "phases detected", stats.phases),
+       cell("phase_switches", "phase switches", stats.phase_switches),
+       cell("reoptimizations", "re-optimizations", stats.reoptimizations),
+       cell("refinements", "  of which refinements", stats.refinements),
+       cell("hot_swaps", "plan hot-swaps", stats.hot_swaps),
+       percent_cell("cache_hit_rate", "plan-cache hit rate",
+                    stats.cache.hit_rate()),
+       decimal_cell("measured_cycles_per_memop", "measured Δ (cycles/memop)",
+                    stats.measured_cycles_per_memop, 2),
+       cell("governor_demote_windows", "governor demote windows",
+            stats.governor.demote_windows),
+       cell("governor_suppress_windows", "governor suppress windows",
+            stats.governor.suppress_windows),
+       percent_cell("governor_peak_utilization", "governor peak utilization",
+                    stats.governor.peak_utilization)});
 
   if (opts.verbose) {
-    std::printf("plan cache (MRU first):\n");
+    report.print("plan cache (MRU first):\n");
     std::size_t i = 0;
     for (const auto& entry : controller.plan_cache().entries()) {
-      std::printf("  entry %zu: %zu plan(s)\n", i++, entry.plans.size());
+      report.print("  entry %zu: %zu plan(s)\n", i++, entry.plans.size());
       for (const auto& plan : entry.plans) {
-        std::printf("    pc%-3u %s %+lld\n", plan.pc,
-                    core::hint_mnemonic(plan.hint),
-                    static_cast<long long>(plan.distance_bytes));
+        report.print("    pc%-3u %s %+lld\n", plan.pc,
+                     core::hint_mnemonic(plan.hint),
+                     static_cast<long long>(plan.distance_bytes));
       }
     }
   }
@@ -709,54 +503,17 @@ int cmd_adapt(const Options& opts) {
     // leaves any previous snapshot intact.
     const Status saved = controller.plan_cache().save(opts.save_cache);
     if (!saved.ok()) {
-      std::fprintf(stderr, "repf: %s: %s\n", opts.save_cache.c_str(),
-                   saved.to_string().c_str());
-      return kExitFailure;
+      throw std::runtime_error(opts.save_cache + ": " + saved.to_string());
     }
-    std::printf("# saved %zu cached plan set(s) to %s\n",
-                controller.plan_cache().size(), opts.save_cache.c_str());
-  }
-
-  if (!opts.json_path.empty()) {
-    const auto& num = json_num;
-    const auto speedup = [&](const sim::RunResult& r) {
-      return base_cycles / static_cast<double>(r.apps[0].cycles);
-    };
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"command\": \"adapt\",\n"
-         << "  \"benchmark\": \"" << json::escape(program.name) << "\",\n"
-         << "  \"machine\": \"" << json::escape(opts.machine.name) << "\",\n"
-         << "  \"window_refs\": " << aopts.window_refs << ",\n"
-         << "  \"baseline_cycles\": " << base.apps[0].cycles << ",\n"
-         << "  \"static_cycles\": " << stat.apps[0].cycles << ",\n"
-         << "  \"adaptive_cycles\": " << adaptive.apps[0].cycles << ",\n"
-         << "  \"static_speedup\": " << num(speedup(stat)) << ",\n"
-         << "  \"adaptive_speedup\": " << num(speedup(adaptive)) << ",\n"
-         << "  \"windows\": " << stats.windows << ",\n"
-         << "  \"phases\": " << stats.phases << ",\n"
-         << "  \"phase_switches\": " << stats.phase_switches << ",\n"
-         << "  \"reoptimizations\": " << stats.reoptimizations << ",\n"
-         << "  \"refinements\": " << stats.refinements << ",\n"
-         << "  \"hot_swaps\": " << stats.hot_swaps << ",\n"
-         << "  \"cache_hit_rate\": " << num(stats.cache.hit_rate()) << ",\n"
-         << "  \"measured_cycles_per_memop\": "
-         << num(stats.measured_cycles_per_memop) << ",\n"
-         << "  \"governor_demote_windows\": " << stats.governor.demote_windows
-         << ",\n"
-         << "  \"governor_suppress_windows\": "
-         << stats.governor.suppress_windows << ",\n"
-         << "  \"governor_peak_utilization\": "
-         << num(stats.governor.peak_utilization) << "\n"
-         << "}\n";
-    const int rc = write_json_report(opts.json_path, json.str());
-    if (rc != 0) return rc;
+    report.print("# saved %zu cached plan set(s) to %s\n",
+                 controller.plan_cache().size(), opts.save_cache.c_str());
   }
   return 0;
 }
 
-int cmd_faultcheck(const Options& opts) {
+int cmd_faultcheck(const Options& opts, Report& report) {
   const workloads::Program program = load_target(opts.target);
+  const std::uint64_t seed = opts.seed.value_or(kFaultSeed);
   const sim::RunResult base =
       sim::run_single(opts.machine, program, /*hw_prefetch=*/false);
   const double base_cycles = static_cast<double>(base.apps[0].cycles);
@@ -770,98 +527,64 @@ int cmd_faultcheck(const Options& opts) {
   std::vector<double> rates = {0.0, 0.05, 0.2, 0.5};
   if (opts.fault_rate >= 0.0) rates = {opts.fault_rate};
 
-  std::printf("# faultcheck %s on %s | baseline %llu cycles | ε = %.0f %%\n",
-              program.name.c_str(), opts.machine.name.c_str(),
-              static_cast<unsigned long long>(base.apps[0].cycles),
-              kEpsilon * 100.0);
-  TextTable table({"fault rate", "plans", "suppressed", "vs baseline",
-                   "verdict"});
+  report.fields("", {},
+                {cell(kBenchmarkKey, "", program.name),
+                 cell(kMachineKey, "", opts.machine.name),
+                 cell(kSeedKey, "", seed),
+                 cell(kBaselineCyclesKey, "", base.apps[0].cycles)});
+  report.print("# faultcheck %s on %s | baseline %llu cycles | ε = %.0f %%\n",
+               program.name.c_str(), opts.machine.name.c_str(),
+               static_cast<unsigned long long>(base.apps[0].cycles),
+               kEpsilon * 100.0);
   // Each fault rate is an independent optimize+simulate unit; fan them out
   // and assemble rows in rate order (the ordered map keeps output identical
   // to the serial sweep at any --jobs).
-  struct RateResult {
-    std::size_t plans = 0;
-    std::size_t suppressed = 0;
-    double delta = 0.0;
-    bool ok = true;
-    std::string log;
-  };
   const engine::Executor executor(opts.jobs);
-  const std::vector<RateResult> results =
+  const std::vector<UnitRow> results =
       executor.map(rates.size(), [&](std::size_t i) {
         const double rate = rates[i];
         const core::FaultInjector injector(
-            core::FaultConfig::uniform(rate, opts.fault_seed));
-        const core::OptimizationReport report = core::optimize_with_profile(
+            core::FaultConfig::uniform(rate, seed));
+        const core::OptimizationReport optimized = core::optimize_with_profile(
             program, injector.inject(profile), opts.machine);
         const sim::RunResult opt =
-            sim::run_single(opts.machine, report.optimized, false);
+            sim::run_single(opts.machine, optimized.optimized, false);
 
-        RateResult r;
-        r.plans = report.plans.size();
-        r.suppressed = report.degradation.size();
-        r.delta =
+        UnitRow r;
+        const double delta =
             static_cast<double>(opt.apps[0].cycles) / base_cycles - 1.0;
-        r.ok = r.delta <= kEpsilon;
-        for (const core::DelinquentLoad& load : report.delinquent_loads) {
+        r.ok = delta <= kEpsilon;
+        for (const core::DelinquentLoad& load : optimized.delinquent_loads) {
           const bool planned = std::any_of(
-              report.plans.begin(), report.plans.end(),
+              optimized.plans.begin(), optimized.plans.end(),
               [&](const core::PrefetchPlan& p) { return p.pc == load.pc; });
-          if (!planned && !report.degradation.contains(load.pc)) r.ok = false;
+          if (!planned && !optimized.degradation.contains(load.pc)) {
+            r.ok = false;
+          }
         }
-        if (rate == 0.0 && report.plans.size() != clean.plans.size()) {
+        if (rate == 0.0 && optimized.plans.size() != clean.plans.size()) {
           r.ok = false;
         }
-        if (opts.verbose && !report.degradation.empty()) {
-          r.log = "-- degradation log @ " + format_percent(rate) + "\n" +
-                  report.degradation.to_string();
+        r.row = {fault_rate_cell(rate, 1),
+                 cell("plans", "plans", optimized.plans.size()),
+                 cell("suppressed", "suppressed", optimized.degradation.size()),
+                 percent_cell("vs_baseline", "vs baseline", delta),
+                 ok_cell(r.ok)};
+        if (opts.verbose && !optimized.degradation.empty()) {
+          r.details = "-- degradation log @ " + format_percent(rate) + "\n" +
+                  optimized.degradation.to_string();
         }
         return r;
       });
 
-  int violations = 0;
-  std::string logs;
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    const RateResult& r = results[i];
-    if (!r.ok) ++violations;
-    table.add_row({format_percent(rates[i]), std::to_string(r.plans),
-                   std::to_string(r.suppressed), format_percent(r.delta),
-                   r.ok ? "OK" : "VIOLATION"});
-    logs += r.log;
-  }
-  std::fputs(table.render().c_str(), stdout);
-  if (opts.verbose) std::fputs(logs.c_str(), stdout);
-  if (violations > 0) {
-    std::printf("FAILED: %d violation(s) (reproduce with --seed %llu)\n",
-                violations,
-                static_cast<unsigned long long>(opts.fault_seed));
-    return kExitDegraded;
-  }
-  std::printf("degradation invariant holds\n");
-  return 0;
+  const int violations = add_units(report, kRatesKey, results);
+  return gate_verdict(report, violations, seed, "FAILED", "violation(s)",
+                      "degradation invariant holds\n");
 }
 
-/// Per-core stream + hot-buffer mix in disjoint address spaces — the same
-/// shape the chaos tests and bench_chaos_recovery use, so a CI failure
-/// reproduces here with one flag.
-workloads::Program chaos_mix_program(std::uint64_t core) {
-  workloads::Program p;
-  p.name = "chaos-app-" + std::to_string(core);
-  p.seed = 42 + core;
-  workloads::StaticInst a, b;
-  a.pc = 1;
-  a.pattern = workloads::StreamPattern{core << 36, 64, 4 << 20};
-  b.pc = 2;
-  b.pattern = workloads::HotBufferPattern{(core + 8) << 36, 64, 16 << 10};
-  p.loops.push_back(workloads::Loop{{a, b}, 32768});
-  p.outer_reps = 2;
-  return p;
-}
-
-/// Render the serve-gate verdict lines shared by `serve` and
-/// `chaos --serve`; returns the number of violated gates.
-int print_serve_gates(const serve::ServeRunResult& r,
-                      std::uint64_t deadline_ticks) {
+/// Add the serve-gate verdict lines; returns the number of violated gates.
+int serve_gates(const serve::ServeRunResult& r, std::uint64_t deadline_ticks,
+                Report& report) {
   struct Gate {
     const char* name;
     bool ok;
@@ -878,64 +601,75 @@ int print_serve_gates(const serve::ServeRunResult& r,
   int violations = 0;
   for (const Gate& gate : gates) {
     if (!gate.ok) ++violations;
-    std::printf("gate: %-48s %s\n", gate.name,
-                gate.ok ? "OK" : "VIOLATION");
+    report.print("gate: %-48s %s\n", gate.name,
+                 gate.ok ? "OK" : "VIOLATION");
   }
   return violations;
 }
 
-std::string serve_stats_json(const serve::ServeRunResult& r) {
-  const auto& num = json_num;
+/// The service counters and rates of one serve run, labelled as `repf
+/// serve` tabulates them. Where the table's order differs from the JSON's
+/// (hit rate, max queue depth) the table gets its own text-only cell.
+std::vector<Cell> serve_stats_cells(const serve::ServeRunResult& r,
+                                    std::size_t queue_capacity) {
   const auto& s = r.stats;
-  std::ostringstream json;
-  json << "    \"submitted\": " << s.submitted << ",\n"
-       << "    \"responses\": " << r.responses << ",\n"
-       << "    \"fresh\": " << s.fresh << ",\n"
-       << "    \"cache_hits\": " << s.cache_hits << ",\n"
-       << "    \"last_known_good\": " << s.last_known_good << ",\n"
-       << "    \"no_prefetch\": " << s.no_prefetch << ",\n"
-       << "    \"shed_queue_full\": " << s.shed_queue_full << ",\n"
-       << "    \"shed_infeasible\": " << s.shed_infeasible << ",\n"
-       << "    \"deadline_expired\": " << s.deadline_expired << ",\n"
-       << "    \"shard_down\": " << s.shard_down << ",\n"
-       << "    \"cache_faults\": " << s.cache_faults << ",\n"
-       << "    \"cancelled_solves\": " << s.cancelled_solves << ",\n"
-       << "    \"retries\": " << s.retries << ",\n"
-       << "    \"journal_appends\": " << s.journal_appends << ",\n"
-       << "    \"breaker_trips\": " << s.breaker_trips << ",\n"
-       << "    \"deadline_missed\": " << s.deadline_missed << ",\n"
-       << "    \"stale_fresh_violations\": " << s.stale_fresh_violations
-       << ",\n"
-       << "    \"max_queue_depth\": " << s.max_queue_depth << ",\n"
-       << "    \"solves_started\": " << s.solves_started << ",\n"
-       << "    \"shed_quota\": " << s.shed_quota << ",\n"
-       << "    \"quota_breaker_trips\": " << s.quota_breaker_trips << ",\n"
-       << "    \"shed_slow_consumer\": " << s.shed_slow_consumer << ",\n"
-       << "    \"max_tenant_queue_depth\": " << s.max_tenant_queue_depth
-       << ",\n"
-       << "    \"warm_files_loaded\": " << s.warm_files_loaded << ",\n"
-       << "    \"warm_files_rejected\": " << s.warm_files_rejected << ",\n"
-       << "    \"warm_entries_loaded\": " << s.warm_entries_loaded << ",\n"
-       << "    \"warm_entries_quarantined\": " << s.warm_entries_quarantined
-       << ",\n"
-       << "    \"p50_admitted_ticks\": " << num(r.p50_admitted) << ",\n"
-       << "    \"p99_admitted_ticks\": " << num(r.p99_admitted) << ",\n"
-       << "    \"shed_rate\": " << num(r.shed_rate) << ",\n"
-       << "    \"deadline_miss_rate\": " << num(r.deadline_miss_rate) << ",\n"
-       << "    \"hit_rate\": " << num(r.hit_rate) << ",\n"
-       << "    \"degraded_rate\": " << num(r.degraded_rate) << ",\n"
-       << "    \"digest\": " << r.digest;
-  return json.str();
+  char digest[32];
+  std::snprintf(digest, sizeof digest, "%016llx",
+                static_cast<unsigned long long>(r.digest));
+  return {
+      cell("submitted", "requests", s.submitted),
+      cell("responses", "", r.responses),
+      cell("fresh", "  fresh solves", s.fresh),
+      cell("cache_hits", "  cache hits", s.cache_hits),
+      cell("last_known_good", "  last-known-good", s.last_known_good),
+      cell("no_prefetch", "  no-prefetch", s.no_prefetch),
+      cell("shed_queue_full", "shed (queue full)", s.shed_queue_full),
+      cell("shed_infeasible", "shed (infeasible)", s.shed_infeasible),
+      cell("deadline_expired", "deadline expirations", s.deadline_expired),
+      cell("shard_down", "", s.shard_down),
+      cell("cache_faults", "", s.cache_faults),
+      cell("cancelled_solves", "cancelled solves", s.cancelled_solves),
+      cell("retries", "retries", s.retries),
+      cell("journal_appends", "", s.journal_appends),
+      cell("breaker_trips", "breaker trips", s.breaker_trips),
+      cell("deadline_missed", "", s.deadline_missed),
+      cell("stale_fresh_violations", "", s.stale_fresh_violations),
+      cell("max_queue_depth", "", s.max_queue_depth),
+      cell("solves_started", "", s.solves_started),
+      cell("shed_quota", "", s.shed_quota),
+      cell("quota_breaker_trips", "", s.quota_breaker_trips),
+      cell("shed_slow_consumer", "", s.shed_slow_consumer),
+      cell("max_tenant_queue_depth", "", s.max_tenant_queue_depth),
+      cell("warm_files_loaded", "", s.warm_files_loaded),
+      cell(kWarmFilesRejectedKey, "", s.warm_files_rejected),
+      cell(kWarmEntriesLoadedKey, "", s.warm_entries_loaded),
+      cell(kWarmEntriesQuarantinedKey, "", s.warm_entries_quarantined),
+      decimal_cell("p50_admitted_ticks", "p50 admitted (ticks)",
+                   r.p50_admitted, 1),
+      decimal_cell("p99_admitted_ticks", "p99 admitted (ticks)",
+                   r.p99_admitted, 1),
+      percent_cell("", "hit rate", r.hit_rate),
+      percent_cell("shed_rate", "shed rate", r.shed_rate),
+      percent_cell("deadline_miss_rate", "deadline-miss rate",
+                   r.deadline_miss_rate),
+      percent_cell("hit_rate", "", r.hit_rate),
+      percent_cell("degraded_rate", "degraded rate", r.degraded_rate),
+      cell("", "max queue depth",
+           std::to_string(s.max_queue_depth) + " / " +
+               std::to_string(queue_capacity)),
+      {"digest", "response digest", r.digest, digest},
+  };
 }
 
-int cmd_serve(const Options& opts) {
+int cmd_serve(const Options& opts, Report& report) {
+  const std::uint64_t seed = opts.seed.value_or(kChaosSeed);
   serve::TrafficConfig traffic;
   traffic.cores = opts.chaos_cores > 0 ? opts.chaos_cores : 64;
   traffic.ticks = opts.serve_steps > 0 ? opts.serve_steps : 512;
-  traffic.seed = opts.chaos_seed;
+  traffic.seed = seed;
 
   serve::ServiceOptions sopts;
-  sopts.seed = opts.chaos_seed ^ 0xAD115EEDull;
+  sopts.seed = seed ^ 0xAD115EEDull;
   // Journals and warm-start files carry the machine-model/knob fingerprint
   // so a restart under different assumptions refuses the stale state.
   core::OptimizerOptions knobs;
@@ -953,95 +687,49 @@ int cmd_serve(const Options& opts) {
   const serve::AdvisoryService::Solver solver =
       serve::make_engine_solver(families, opts.machine, &executor);
 
-  std::printf("# repf serve | machine=%s | seed=%llu | %d core(s) | "
-              "%llu tick(s) | deadline=%llu | fingerprint=%s\n",
-              opts.machine.name.c_str(),
-              static_cast<unsigned long long>(opts.chaos_seed), traffic.cores,
-              static_cast<unsigned long long>(traffic.ticks),
-              static_cast<unsigned long long>(sopts.deadline_ticks),
-              sopts.config_fingerprint.c_str());
+  seeded_header(report, opts, seed, "serve",
+                " | " + std::to_string(traffic.cores) + " core(s) | " +
+                    std::to_string(traffic.ticks) + " tick(s) | deadline=" +
+                    std::to_string(sopts.deadline_ticks) +
+                    " | fingerprint=" + sopts.config_fingerprint);
+  report.fields("", {},
+                {cell(kCoresKey, "", traffic.cores),
+                 cell("ticks", "", traffic.ticks)});
   const serve::ServeRunResult r =
       serve::run_serve_sim(traffic, sopts, solver, &executor);
   const auto& s = r.stats;
 
   if (!opts.warm_start_dir.empty()) {
-    std::printf("# warm start from %s: %llu file(s) accepted, %llu "
-                "rejected; %llu entrie(s) verified, %llu quarantined\n",
-                opts.warm_start_dir.c_str(),
-                static_cast<unsigned long long>(s.warm_files_loaded),
-                static_cast<unsigned long long>(s.warm_files_rejected),
-                static_cast<unsigned long long>(s.warm_entries_loaded),
-                static_cast<unsigned long long>(s.warm_entries_quarantined));
+    report.print("# warm start from %s: %llu file(s) accepted, %llu "
+                 "rejected; %llu entrie(s) verified, %llu quarantined\n",
+                 opts.warm_start_dir.c_str(),
+                 static_cast<unsigned long long>(s.warm_files_loaded),
+                 static_cast<unsigned long long>(s.warm_files_rejected),
+                 static_cast<unsigned long long>(s.warm_entries_loaded),
+                 static_cast<unsigned long long>(s.warm_entries_quarantined));
   }
 
-  TextTable table({"service metric", "value"});
-  table.add_row({"requests", std::to_string(s.submitted)});
-  table.add_row({"  fresh solves", std::to_string(s.fresh)});
-  table.add_row({"  cache hits", std::to_string(s.cache_hits)});
-  table.add_row({"  last-known-good", std::to_string(s.last_known_good)});
-  table.add_row({"  no-prefetch", std::to_string(s.no_prefetch)});
-  table.add_row({"shed (queue full)", std::to_string(s.shed_queue_full)});
-  table.add_row({"shed (infeasible)", std::to_string(s.shed_infeasible)});
-  table.add_row({"deadline expirations", std::to_string(s.deadline_expired)});
-  table.add_row({"cancelled solves", std::to_string(s.cancelled_solves)});
-  table.add_row({"retries", std::to_string(s.retries)});
-  table.add_row({"breaker trips", std::to_string(s.breaker_trips)});
-  table.add_row({"p50 admitted (ticks)", format_double(r.p50_admitted, 1)});
-  table.add_row({"p99 admitted (ticks)", format_double(r.p99_admitted, 1)});
-  table.add_row({"hit rate", format_percent(r.hit_rate)});
-  table.add_row({"shed rate", format_percent(r.shed_rate)});
-  table.add_row({"deadline-miss rate", format_percent(r.deadline_miss_rate)});
-  table.add_row({"degraded rate", format_percent(r.degraded_rate)});
-  table.add_row({"max queue depth",
-                 std::to_string(s.max_queue_depth) + " / " +
-                     std::to_string(sopts.queue_capacity)});
-  char digest[32];
-  std::snprintf(digest, sizeof digest, "%016llx",
-                static_cast<unsigned long long>(r.digest));
-  table.add_row({"response digest", digest});
-  std::fputs(table.render().c_str(), stdout);
+  report.fields("metrics", {"service metric", "value"},
+                serve_stats_cells(r, sopts.queue_capacity));
 
   if (opts.verbose) {
-    std::printf("shards: %d | open at end: %d | journal acks: %zu | "
-                "final tick: %llu\n",
-                sopts.shards, r.shards_open, r.acked.size(),
-                static_cast<unsigned long long>(r.final_tick));
+    report.print("shards: %d | open at end: %d | journal acks: %zu | "
+                 "final tick: %llu\n",
+                 sopts.shards, r.shards_open, r.acked.size(),
+                 static_cast<unsigned long long>(r.final_tick));
   }
 
-  const int violations = print_serve_gates(r, sopts.deadline_ticks);
-
-  if (!opts.json_path.empty()) {
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"command\": \"serve\",\n"
-         << "  \"machine\": \"" << json::escape(opts.machine.name) << "\",\n"
-         << "  \"seed\": " << opts.chaos_seed << ",\n"
-         << "  \"cores\": " << traffic.cores << ",\n"
-         << "  \"ticks\": " << traffic.ticks << ",\n"
-         << "  \"metrics\": {\n"
-         << serve_stats_json(r) << "\n  },\n"
-         << "  \"ok\": " << (violations == 0 ? "true" : "false") << "\n"
-         << "}\n";
-    const int rc = write_json_report(opts.json_path, json.str());
-    if (rc != 0) return rc;
-  }
-
-  if (violations > 0) {
-    std::printf("serve FAILED: %d gate violation(s) (reproduce with "
-                "--seed %llu)\n",
-                violations,
-                static_cast<unsigned long long>(opts.chaos_seed));
-    return kExitDegraded;
-  }
-  std::printf("serve robustness gates hold\n");
-  return 0;
+  const int violations = serve_gates(r, sopts.deadline_ticks, report);
+  return gate_verdict(report, violations, seed, "serve FAILED",
+                      "gate violation(s)", "serve robustness gates hold\n");
 }
 
 /// `repf chaos --serve`: fault-rate sweep against the advisory service —
 /// injected transient cache faults exercise the retry ladder and the
 /// per-shard breakers, every rate is replayed twice to witness
 /// byte-determinism, and --crash-check tears the journals.
-int cmd_chaos_serve(const Options& opts) {
+int cmd_chaos_serve(const Options& opts, Report& report) {
+  const std::uint64_t seed = opts.seed.value_or(kChaosSeed);
   std::vector<double> rates = {0.0, 0.1, 0.25, 0.5};
   if (opts.fault_rate >= 0.0) rates = {opts.fault_rate};
 
@@ -1051,203 +739,139 @@ int cmd_chaos_serve(const Options& opts) {
   traffic.request_rate = 0.1;
   traffic.hot_families = 4;
   traffic.cold_families = 32;
-  traffic.seed = opts.chaos_seed;
+  traffic.seed = seed;
 
-  std::printf("# repf chaos --serve | machine=%s | seed=%llu | %d core(s)\n",
-              opts.machine.name.c_str(),
-              static_cast<unsigned long long>(opts.chaos_seed), traffic.cores);
-  TextTable table({"fault rate", "requests", "degraded", "retries", "trips",
-                   "shed", "stale-fresh", "replay", "verdict"});
+  seeded_header(report, opts, seed, "chaos --serve",
+                " | " + std::to_string(traffic.cores) + " core(s)");
 
-  struct ServeRateResult {
-    std::vector<std::string> row;
-    serve::ServeRunResult run;
-    bool deterministic = false;
-    bool ok = false;
-  };
   // Each fault rate is an independent double-run unit (the solver is the
   // cheap synthetic one; the service runs inline). Fan the rates out and
   // reduce in order so the table is byte-identical at any --jobs.
   const engine::Executor executor(opts.jobs);
-  const std::vector<ServeRateResult> results =
+  const std::vector<UnitRow> results =
       executor.map(rates.size(), [&](std::size_t i) {
         serve::ServiceOptions sopts;
         sopts.cache_fault_rate = rates[i];
-        sopts.seed = opts.chaos_seed ^ 0xAD115EEDull;
+        sopts.seed = seed ^ 0xAD115EEDull;
         const std::vector<serve::Family> families = serve::make_families(
             traffic.hot_families, traffic.cold_families);
         const serve::AdvisoryService::Solver solver =
             serve::make_synthetic_solver(families);
 
-        ServeRateResult r;
-        r.run = serve::run_serve_sim(traffic, sopts, solver, nullptr);
+        const serve::ServeRunResult run =
+            serve::run_serve_sim(traffic, sopts, solver, nullptr);
         const serve::ServeRunResult replay =
             serve::run_serve_sim(traffic, sopts, solver, nullptr);
-        r.deterministic = replay.digest == r.run.digest;
-        r.ok = r.run.gates_ok() && r.deterministic;
+        const bool deterministic = replay.digest == run.digest;
+        UnitRow r;
+        r.ok = run.gates_ok() && deterministic;
         // A clean schedule must not trip breakers or burn retries.
         if (rates[i] == 0.0 &&
-            (r.run.stats.breaker_trips != 0 || r.run.stats.retries != 0)) {
+            (run.stats.breaker_trips != 0 || run.stats.retries != 0)) {
           r.ok = false;
         }
-        const auto& s = r.run.stats;
-        r.row = {format_percent(rates[i], 0), std::to_string(s.submitted),
-                 std::to_string(s.last_known_good + s.no_prefetch),
-                 std::to_string(s.retries), std::to_string(s.breaker_trips),
-                 std::to_string(s.shed_queue_full + s.shed_infeasible),
-                 std::to_string(s.stale_fresh_violations),
-                 r.deterministic ? "bytes==" : "DIVERGED",
-                 r.ok ? "OK" : "VIOLATION"};
+        // JSON: every service counter. Table: a summary of them.
+        const auto& s = run.stats;
+        r.row = {fault_rate_cell(rates[i], 0),
+                 {"deterministic", "", deterministic, ""}};
+        for (Cell& stat : serve_stats_cells(run, sopts.queue_capacity)) {
+          if (stat.key.empty()) continue;
+          stat.label.clear();
+          r.row.push_back(std::move(stat));
+        }
+        r.row.insert(
+            r.row.end(),
+            {cell("", "requests", s.submitted),
+             cell("", "degraded", s.last_known_good + s.no_prefetch),
+             cell("", "retries", s.retries),
+             cell("", "trips", s.breaker_trips),
+             cell("", "shed", s.shed_queue_full + s.shed_infeasible),
+             cell("", "stale-fresh", s.stale_fresh_violations),
+             cell("", "replay", deterministic ? "bytes==" : "DIVERGED"),
+             ok_cell(r.ok)});
         return r;
       });
 
-  int violations = 0;
-  for (const ServeRateResult& r : results) {
-    if (!r.ok) ++violations;
-    table.add_row(r.row);
-  }
-  std::fputs(table.render().c_str(), stdout);
+  int violations = add_units(report, kRatesKey, results);
 
-  serve::ServeCrashReport crash;
   if (opts.crash_check) {
-    crash = serve::serve_crash_check(opts.chaos_seed, 32,
-                                     "repf_serve_crash_scratch");
-    std::printf("serve crash check: %s -> %s\n", crash.to_string().c_str(),
-                crash.ok() ? "OK" : "VIOLATION");
+    const serve::ServeCrashReport crash =
+        serve::serve_crash_check(seed, 32, "repf_serve_crash_scratch");
+    report.print("serve crash check: %s -> %s\n", crash.to_string().c_str(),
+                 crash.ok() ? "OK" : "VIOLATION");
     if (!crash.ok()) ++violations;
+    report.fields(kCrashCheckKey, {},
+                  {cell(kTrialsKey, "", crash.trials),
+                   cell("acked", "", crash.acked_total),
+                   cell("recovered", "", crash.recovered_total),
+                   cell("quarantined", "", crash.quarantined),
+                   cell("lost_acked", "", crash.lost_acked),
+                   cell("alien_entries", "", crash.alien_entries),
+                   ok_cell(crash.ok())});
   }
 
-  serve::PoisonReport poison;
   if (opts.poison_warm_start) {
-    poison = serve::serve_poison_check(opts.chaos_seed, 12,
-                                       "repf_serve_poison_scratch");
-    std::printf("poisoned warm-start check: %s\n",
-                poison.to_string().c_str());
+    const serve::PoisonReport poison =
+        serve::serve_poison_check(seed, 12, "repf_serve_poison_scratch");
+    report.print("poisoned warm-start check: %s\n",
+                 poison.to_string().c_str());
     if (!poison.ok()) ++violations;
+    report.fields(
+        "poison_warm_start", {},
+        {cell(kTrialsKey, "", poison.trials),
+         cell("bitflip_trials", "", poison.bitflip_trials),
+         cell("stale_fp_trials", "", poison.stale_fp_trials),
+         cell("truncated_trials", "", poison.truncated_trials),
+         cell(kWarmEntriesLoadedKey, "", poison.warm_entries_loaded),
+         cell(kWarmEntriesQuarantinedKey, "", poison.warm_entries_quarantined),
+         cell(kWarmFilesRejectedKey, "", poison.warm_files_rejected),
+         cell("stale_fresh", "", poison.stale_fresh),
+         cell("alien_served", "", poison.alien_served),
+         cell("gate_failures", "", poison.gate_failures),
+         cell("acked_then_lost", "", poison.acked_then_lost),
+         cell("recovery_failures", "", poison.recovery_failures),
+         ok_cell(poison.ok())});
   }
 
-  if (!opts.json_path.empty()) {
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"command\": \"chaos\",\n"
-         << "  \"serve\": true,\n"
-         << "  \"machine\": \"" << json::escape(opts.machine.name) << "\",\n"
-         << "  \"seed\": " << opts.chaos_seed << ",\n"
-         << "  \"rates\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      json << "    {\n"
-           << "    \"fault_rate\": " << json_num(rates[i]) << ",\n"
-           << "    \"deterministic\": "
-           << (results[i].deterministic ? "true" : "false") << ",\n"
-           << serve_stats_json(results[i].run) << ",\n"
-           << "    \"ok\": " << (results[i].ok ? "true" : "false") << "\n"
-           << "    }" << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n";
-    if (opts.crash_check) {
-      json << "  \"crash_check\": {\n"
-           << "    \"trials\": " << crash.trials << ",\n"
-           << "    \"acked\": " << crash.acked_total << ",\n"
-           << "    \"recovered\": " << crash.recovered_total << ",\n"
-           << "    \"quarantined\": " << crash.quarantined << ",\n"
-           << "    \"lost_acked\": " << crash.lost_acked << ",\n"
-           << "    \"alien_entries\": " << crash.alien_entries << ",\n"
-           << "    \"ok\": " << (crash.ok() ? "true" : "false") << "\n"
-           << "  },\n";
-    }
-    if (opts.poison_warm_start) {
-      json << "  \"poison_warm_start\": {\n"
-           << "    \"trials\": " << poison.trials << ",\n"
-           << "    \"bitflip_trials\": " << poison.bitflip_trials << ",\n"
-           << "    \"stale_fp_trials\": " << poison.stale_fp_trials << ",\n"
-           << "    \"truncated_trials\": " << poison.truncated_trials
-           << ",\n"
-           << "    \"warm_entries_loaded\": " << poison.warm_entries_loaded
-           << ",\n"
-           << "    \"warm_entries_quarantined\": "
-           << poison.warm_entries_quarantined << ",\n"
-           << "    \"warm_files_rejected\": " << poison.warm_files_rejected
-           << ",\n"
-           << "    \"stale_fresh\": " << poison.stale_fresh << ",\n"
-           << "    \"alien_served\": " << poison.alien_served << ",\n"
-           << "    \"gate_failures\": " << poison.gate_failures << ",\n"
-           << "    \"acked_then_lost\": " << poison.acked_then_lost << ",\n"
-           << "    \"recovery_failures\": " << poison.recovery_failures
-           << ",\n"
-           << "    \"ok\": " << (poison.ok() ? "true" : "false") << "\n"
-           << "  },\n";
-    }
-    json << "  \"ok\": " << (violations == 0 ? "true" : "false") << "\n"
-         << "}\n";
-    const int rc = write_json_report(opts.json_path, json.str());
-    if (rc != 0) return rc;
-  }
-
-  if (violations > 0) {
-    std::printf("chaos FAILED: %d gate violation(s) (reproduce with "
-                "--seed %llu)\n",
-                violations,
-                static_cast<unsigned long long>(opts.chaos_seed));
-    return kExitDegraded;
-  }
-  std::printf("serve chaos gates hold\n");
-  return 0;
+  return gate_verdict(report, violations, seed, "chaos FAILED",
+                      "gate violation(s)", "serve chaos gates hold\n");
 }
 
-int cmd_chaos(const Options& opts) {
-  if (opts.chaos_serve) return cmd_chaos_serve(opts);
+int cmd_chaos(const Options& opts, Report& report) {
   // The full-system chaos mix simulates every core cycle-by-cycle; the
   // [1, 16] cap is a cost bound, not a correctness one, and only applies
   // here (`serve` and `chaos --serve` are virtual-time — no cap).
   const int cores = opts.chaos_cores > 0 ? opts.chaos_cores : 2;
-  if (cores > 16) {
+  if (!opts.chaos_serve && cores > 16) {
     std::fprintf(stderr, "chaos: --cores must be in [1, 16]\n");
     return kExitUsage;
   }
+  report.field({"serve", "", opts.chaos_serve, ""});
+  if (opts.chaos_serve) return cmd_chaos_serve(opts, report);
+  const std::uint64_t seed = opts.seed.value_or(kChaosSeed);
 
   std::vector<workloads::Program> storage;
   for (int c = 0; c < cores; ++c) {
-    storage.push_back(chaos_mix_program(static_cast<std::uint64_t>(c)));
+    storage.push_back(
+        runtime::chaos_mix_program(static_cast<std::uint64_t>(c), 32768));
   }
   std::vector<const workloads::Program*> programs;
   for (const workloads::Program& p : storage) programs.push_back(&p);
 
-  runtime::SupervisorOptions sopts;
-  sopts.adaptive.window_refs = 1024;
-  sopts.adaptive.sampler = core::SamplerConfig{50, 42};
-  sopts.adaptive.phases.hysteresis_windows = 1;
-  sopts.adaptive.min_reoptimize_refs = 8192;
-  sopts.heartbeat_grace_windows = 4;
-  sopts.backoff_base_windows = 2;
-  sopts.half_open_probe_windows = 2;
-  sopts.max_trips = 8;
-  sopts.seed = opts.chaos_seed;
+  const runtime::SupervisorOptions sopts =
+      runtime::chaos_supervisor_options(seed);
 
   std::vector<double> rates = {0.0, 0.1, 0.25, 0.5};
   if (opts.fault_rate >= 0.0) rates = {opts.fault_rate};
 
-  std::printf("# repf chaos | machine=%s | seed=%llu | %d core(s)\n",
-              opts.machine.name.c_str(),
-              static_cast<unsigned long long>(opts.chaos_seed), cores);
-  TextTable table({"fault rate", "episodes", "trips", "rollbacks",
-                   "recoveries", "opens", "worst rec (win)", "vs no-pf",
-                   "verdict"});
+  seeded_header(report, opts, seed, "chaos",
+                " | " + std::to_string(cores) + " core(s)");
+  report.field(cell(kCoresKey, "", cores));
   // Each fault rate replays its own seeded schedule against its own
   // supervisor instance — independent units, fanned out with ordered
   // reduction so the table is byte-identical at any --jobs.
-  struct ChaosRateResult {
-    std::vector<std::string> row;
-    bool ok = true;
-    std::string details;
-    // Raw values for the --json report.
-    std::size_t episodes = 0;
-    std::uint64_t trips = 0, rollbacks = 0, recoveries = 0;
-    int opens = 0;
-    std::uint64_t worst_recovery_windows = 0;
-    double vs_baseline = 0.0;
-  };
   const engine::Executor executor(opts.jobs);
-  const std::vector<ChaosRateResult> results =
+  const std::vector<UnitRow> results =
       executor.map(rates.size(), [&](std::size_t i) {
         const double rate = rates[i];
         runtime::ChaosConfig config;
@@ -1255,40 +879,31 @@ int cmd_chaos(const Options& opts) {
         config.horizon_refs = storage[0].total_references();
         config.mean_episode_refs = 8192;
         config.cores = cores;
-        config.seed = opts.chaos_seed;
+        config.seed = seed;
 
         const runtime::ChaosRunResult result = runtime::run_chaos_mix(
             opts.machine, programs, false, config, sopts);
 
-        int opens = 0;
-        std::uint64_t rollbacks = 0, recoveries = 0;
-        for (const runtime::DomainStats& d : result.domains) {
-          if (d.state == runtime::DomainState::Open) ++opens;
-          rollbacks += d.rollbacks;
-          recoveries += d.recoveries;
-        }
         // The recovery gates: never-hurts within 1 %, recovery within 64
         // windows, no permanently open circuit, no false-positive trips on
         // a clean schedule.
-        ChaosRateResult r;
+        UnitRow r;
         r.ok = result.worst_vs_baseline <= 1.01 &&
-               result.worst_recovery_windows <= 64 && opens == 0;
+               result.worst_recovery_windows <= 64 &&
+               result.open_domains == 0;
         if (rate == 0.0 && result.total_trips != 0) r.ok = false;
-        r.episodes = result.schedule.episodes().size();
-        r.trips = result.total_trips;
-        r.rollbacks = rollbacks;
-        r.recoveries = recoveries;
-        r.opens = opens;
-        r.worst_recovery_windows = result.worst_recovery_windows;
-        r.vs_baseline = result.worst_vs_baseline;
-        r.row = {format_percent(rate, 0),
-                 std::to_string(result.schedule.episodes().size()),
-                 std::to_string(result.total_trips),
-                 std::to_string(rollbacks), std::to_string(recoveries),
-                 std::to_string(opens),
-                 std::to_string(result.worst_recovery_windows),
-                 format_double(result.worst_vs_baseline, 4),
-                 r.ok ? "OK" : "VIOLATION"};
+        r.row = {fault_rate_cell(rate, 0),
+                 cell("episodes", "episodes",
+                      result.schedule.episodes().size()),
+                 cell("trips", "trips", result.total_trips),
+                 cell("rollbacks", "rollbacks", result.total_rollbacks),
+                 cell("recoveries", "recoveries", result.total_recoveries),
+                 cell("opens", "opens", result.open_domains),
+                 cell("worst_recovery_windows", "worst rec (win)",
+                      result.worst_recovery_windows),
+                 decimal_cell("worst_vs_baseline", "vs no-pf",
+                              result.worst_vs_baseline, 4),
+                 ok_cell(r.ok)};
         if (opts.verbose) {
           r.details += "-- schedule @ " + format_percent(rate, 0) + "\n" +
                        result.schedule.to_string();
@@ -1301,81 +916,34 @@ int cmd_chaos(const Options& opts) {
         return r;
       });
 
-  int violations = 0;
-  std::string details;
-  for (const ChaosRateResult& r : results) {
-    if (!r.ok) ++violations;
-    table.add_row(r.row);
-    details += r.details;
-  }
-  std::fputs(table.render().c_str(), stdout);
-  if (opts.verbose) std::fputs(details.c_str(), stdout);
+  int violations = add_units(report, kRatesKey, results);
 
-  runtime::CacheCrashReport crash;
-  bool crash_ok = true;
   if (opts.crash_check) {
-    crash = runtime::chaos_cache_crash_check(opts.chaos_seed, 64,
-                                             "repf_chaos_cache_scratch.json");
-    crash_ok = crash.failed_loads == 0 && crash.accounting_errors == 0 &&
-               crash.survives_torn_write;
-    std::printf("cache crash check: %s -> %s\n", crash.to_string().c_str(),
-                crash_ok ? "OK" : "VIOLATION");
+    const runtime::CacheCrashReport crash = runtime::chaos_cache_crash_check(
+        seed, 64, "repf_chaos_cache_scratch.json");
+    const bool crash_ok = crash.failed_loads == 0 &&
+                          crash.accounting_errors == 0 &&
+                          crash.survives_torn_write;
+    report.print("cache crash check: %s -> %s\n", crash.to_string().c_str(),
+                 crash_ok ? "OK" : "VIOLATION");
     if (!crash_ok) ++violations;
+    report.fields(kCrashCheckKey, {},
+                  {cell(kTrialsKey, "", crash.trials),
+                   cell("clean_loads", "", crash.clean_loads),
+                   cell("degraded_loads", "", crash.degraded_loads),
+                   cell("failed_loads", "", crash.failed_loads),
+                   cell("entries_recovered", "", crash.entries_recovered),
+                   cell("accounting_errors", "", crash.accounting_errors),
+                   {"survives_torn_write", "", crash.survives_torn_write, ""},
+                   ok_cell(crash_ok)});
   }
 
-  if (!opts.json_path.empty()) {
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"command\": \"chaos\",\n"
-         << "  \"serve\": false,\n"
-         << "  \"machine\": \"" << json::escape(opts.machine.name) << "\",\n"
-         << "  \"seed\": " << opts.chaos_seed << ",\n"
-         << "  \"cores\": " << cores << ",\n"
-         << "  \"rates\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const ChaosRateResult& r = results[i];
-      json << "    {\"fault_rate\": " << json_num(rates[i])
-           << ", \"episodes\": " << r.episodes << ", \"trips\": " << r.trips
-           << ", \"rollbacks\": " << r.rollbacks
-           << ", \"recoveries\": " << r.recoveries
-           << ", \"opens\": " << r.opens
-           << ", \"worst_recovery_windows\": " << r.worst_recovery_windows
-           << ", \"worst_vs_baseline\": " << json_num(r.vs_baseline)
-           << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
-           << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n";
-    if (opts.crash_check) {
-      json << "  \"crash_check\": {\n"
-           << "    \"trials\": " << crash.trials << ",\n"
-           << "    \"clean_loads\": " << crash.clean_loads << ",\n"
-           << "    \"degraded_loads\": " << crash.degraded_loads << ",\n"
-           << "    \"failed_loads\": " << crash.failed_loads << ",\n"
-           << "    \"entries_recovered\": " << crash.entries_recovered << ",\n"
-           << "    \"accounting_errors\": " << crash.accounting_errors << ",\n"
-           << "    \"survives_torn_write\": "
-           << (crash.survives_torn_write ? "true" : "false") << ",\n"
-           << "    \"ok\": " << (crash_ok ? "true" : "false") << "\n"
-           << "  },\n";
-    }
-    json << "  \"ok\": " << (violations == 0 ? "true" : "false") << "\n"
-         << "}\n";
-    const int rc = write_json_report(opts.json_path, json.str());
-    if (rc != 0) return rc;
-  }
-
-  if (violations > 0) {
-    std::printf("chaos FAILED: %d gate violation(s) (reproduce with "
-                "--seed %llu)\n",
-                violations,
-                static_cast<unsigned long long>(opts.chaos_seed));
-    return kExitDegraded;
-  }
-  std::printf("chaos recovery gates hold\n");
-  return 0;
+  return gate_verdict(report, violations, seed, "chaos FAILED",
+                      "gate violation(s)", "chaos recovery gates hold\n");
 }
 
-int cmd_verify(const Options& opts) {
+int cmd_verify(const Options& opts, Report& report) {
+  const std::uint64_t seed = opts.seed.value_or(kFuzzSeed);
   std::vector<verify::TraceFamily> families;
   if (opts.families.empty()) {
     families = verify::all_trace_families();
@@ -1398,16 +966,10 @@ int cmd_verify(const Options& opts) {
   }
 
   constexpr std::uint64_t kVariants = 2;
-  std::printf("# repf verify | machine=%s | seed=%llu | %zu families x %llu"
-              " variants\n",
-              opts.machine.name.c_str(),
-              static_cast<unsigned long long>(opts.verify_seed),
-              families.size(), static_cast<unsigned long long>(kVariants));
-
-  bool failed = false;
-  std::printf("== differential oracle: StatStack vs exact LRU\n");
-  TextTable table({"family", "var", "refs", "samples", "max app err", "bound",
-                   "mddli", "bypass", "verdict"});
+  seeded_header(report, opts, seed, "verify",
+                " | " + std::to_string(families.size()) + " families x " +
+                    std::to_string(kVariants) + " variants");
+  report.print("== differential oracle: StatStack vs exact LRU\n");
 
   // Every (family, variant) trace is an independent differential unit; fan
   // them out over the engine executor and reduce in declaration order so
@@ -1422,126 +984,52 @@ int cmd_verify(const Options& opts) {
       units.push_back({family, variant});
     }
   }
-  struct UnitResult {
-    std::string family;
-    std::uint64_t variant = 0;
-    std::uint64_t references = 0;
-    std::uint64_t samples = 0;
-    double app_error = 0.0;
-    double bound = 0.0;
-    double mddli = 0.0;
-    double bypass = 0.0;
-    bool ok = false;
-    std::string report;
-  };
   const engine::Executor executor(opts.jobs);
-  const std::vector<UnitResult> unit_results =
+  const std::vector<UnitRow> unit_results =
       executor.map(units.size(), [&](std::size_t i) {
         const Unit& unit = units[i];
         const verify::FuzzedTrace trace =
-            verify::make_trace(unit.family, opts.verify_seed, unit.variant);
+            verify::make_trace(unit.family, seed, unit.variant);
         const verify::DifferentialResult result =
             verify::run_differential(trace.program, opts.machine);
 
-        UnitResult r;
-        r.family = verify::trace_family_name(unit.family);
-        r.variant = unit.variant;
-        r.references = static_cast<std::uint64_t>(result.references);
-        r.samples = static_cast<std::uint64_t>(result.reuse_samples);
-        r.app_error = result.max_application_error();
-        r.bound = verify::family_app_error_bound(unit.family);
-        r.mddli = result.mddli_agreement();
-        r.bypass = result.bypass_agreement();
-        r.ok = r.app_error <= r.bound &&
-               r.mddli >= verify::kMinDecisionAgreement &&
-               r.bypass >= verify::kMinDecisionAgreement;
-        if (opts.verbose || !r.ok) r.report = result.to_string();
+        const double app_error = result.max_application_error();
+        const double bound = verify::family_app_error_bound(unit.family);
+        const double mddli = result.mddli_agreement();
+        const double bypass = result.bypass_agreement();
+        UnitRow r;
+        r.ok = app_error <= bound && mddli >= verify::kMinDecisionAgreement &&
+               bypass >= verify::kMinDecisionAgreement;
+        r.row = {cell("family", "family",
+                      verify::trace_family_name(unit.family)),
+                 cell("variant", "var", unit.variant),
+                 cell(kReferencesKey, "refs",
+                      static_cast<std::uint64_t>(result.references)),
+                 cell("samples", "samples",
+                      static_cast<std::uint64_t>(result.reuse_samples)),
+                 percent_cell("max_application_error", "max app err",
+                              app_error),
+                 percent_cell("bound", "bound", bound),
+                 percent_cell("mddli_agreement", "mddli", mddli),
+                 percent_cell("bypass_agreement", "bypass", bypass),
+                 ok_cell(r.ok, "FAIL")};
+        if (opts.verbose || !r.ok) r.details = result.to_string();
         return r;
       });
+  bool failed = add_units(report, "traces", unit_results) > 0;
 
-  std::string reports;
-  for (const UnitResult& r : unit_results) {
-    if (!r.ok) failed = true;
-    table.add_row({r.family, std::to_string(r.variant),
-                   std::to_string(r.references), std::to_string(r.samples),
-                   format_percent(r.app_error), format_percent(r.bound),
-                   format_percent(r.mddli), format_percent(r.bypass),
-                   r.ok ? "OK" : "FAIL"});
-    reports += r.report;
-  }
-  std::fputs(table.render().c_str(), stdout);
-  std::fputs(reports.c_str(), stdout);
+  const bool golden_ok = check_golden(
+      opts, verify::golden_filename, "golden plans",
+      [&] {
+        return verify::render_golden(
+            verify::compute_suite_plans(opts.machine, &executor),
+            opts.machine.name);
+      },
+      report);
+  if (!golden_ok) failed = true;
 
-  std::string golden_status = "skipped";
-  if (!opts.golden_dir.empty()) {
-    const std::string path =
-        opts.golden_dir + "/" + verify::golden_filename(opts.machine.name);
-    const std::string rendered = verify::render_golden(
-        verify::compute_suite_plans(opts.machine, &executor),
-        opts.machine.name);
-    if (opts.bless) {
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "repf: cannot write %s\n", path.c_str());
-        return kExitFailure;
-      }
-      out << rendered;
-      std::printf("== golden plans: blessed %s\n", path.c_str());
-      golden_status = "blessed";
-    } else {
-      std::ifstream in(path);
-      if (!in) {
-        std::printf("== golden plans: %s missing (run with --bless)\n",
-                    path.c_str());
-        failed = true;
-        golden_status = "missing";
-      } else {
-        std::ostringstream text;
-        text << in.rdbuf();
-        const std::string diff = verify::diff_golden(text.str(), rendered);
-        if (diff.empty()) {
-          std::printf("== golden plans: %s matches\n", path.c_str());
-          golden_status = "match";
-        } else {
-          std::printf("== golden plans: %s DIFFERS (-golden/+current)\n%s",
-                      path.c_str(), diff.c_str());
-          failed = true;
-          golden_status = "differs";
-        }
-      }
-    }
-  }
-
-  if (!opts.json_path.empty()) {
-    const auto& num = json_num;
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"command\": \"verify\",\n"
-         << "  \"machine\": \"" << json::escape(opts.machine.name) << "\",\n"
-         << "  \"seed\": " << opts.verify_seed << ",\n"
-         << "  \"traces\": [\n";
-    for (std::size_t i = 0; i < unit_results.size(); ++i) {
-      const UnitResult& r = unit_results[i];
-      json << "    {\"family\": \"" << json::escape(r.family)
-           << "\", \"variant\": " << r.variant
-           << ", \"references\": " << r.references
-           << ", \"samples\": " << r.samples
-           << ", \"max_application_error\": " << num(r.app_error)
-           << ", \"bound\": " << num(r.bound)
-           << ", \"mddli_agreement\": " << num(r.mddli)
-           << ", \"bypass_agreement\": " << num(r.bypass)
-           << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
-           << (i + 1 < unit_results.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n"
-         << "  \"golden\": \"" << json::escape(golden_status) << "\",\n"
-         << "  \"ok\": " << (failed ? "false" : "true") << "\n"
-         << "}\n";
-    const int rc = write_json_report(opts.json_path, json.str());
-    if (rc != 0) return rc;
-  }
-
-  std::printf(failed ? "verify FAILED\n" : "verify clean\n");
+  report.field(ok_cell(!failed));
+  report.text(failed ? "verify FAILED\n" : "verify clean\n");
   return failed ? kExitFailure : 0;
 }
 
@@ -1552,7 +1040,8 @@ int cmd_verify(const Options& opts) {
 // re-runs with hardware prefetching modeled and checks that the composition
 // *predicts* the chase victim's degradation. Exit: kExitFailure on any
 // bound/prediction violation (output names the seed).
-int cmd_corun(const Options& opts) {
+int cmd_corun(const Options& opts, Report& report) {
+  const std::uint64_t seed = opts.seed.value_or(kFuzzSeed);
   std::vector<int> core_counts = {2, 4, 8};
   if (opts.chaos_cores != 0) {
     if (opts.chaos_cores > 16) {
@@ -1562,9 +1051,7 @@ int cmd_corun(const Options& opts) {
     core_counts = {opts.chaos_cores};
   }
 
-  std::printf("# repf corun | machine=%s | seed=%llu\n",
-              opts.machine.name.c_str(),
-              static_cast<unsigned long long>(opts.verify_seed));
+  seeded_header(report, opts, seed, "corun", "");
 
   // Every (core count, scenario, hw) cell is an independent unit; fan out
   // over the engine executor and reduce in declaration order so the report
@@ -1584,57 +1071,43 @@ int cmd_corun(const Options& opts) {
     }
   }
 
-  struct UnitResult {
-    verify::CoRunDifferentialResult result;
-    double worst_margin = 0.0;  // max over cores of (error - bound)
-    bool ok = false;
-    std::string report;
-  };
   const engine::Executor executor(opts.jobs);
-  const std::vector<UnitResult> unit_results =
+  const std::vector<UnitRow> unit_results =
       executor.map(units.size(), [&](std::size_t i) {
         const Unit& unit = units[i];
         verify::CoRunDifferentialOptions options;
         options.model_hw_prefetch = unit.hw;
-        UnitResult r;
-        r.result = verify::run_corun_differential(
-            unit.scenario, opts.machine, opts.verify_seed, options);
-        r.ok = r.result.attribution_exact;
-        r.worst_margin = -1.0;
-        for (std::size_t core = 0; core < r.result.per_core.size(); ++core) {
+        const verify::CoRunDifferentialResult result =
+            verify::run_corun_differential(unit.scenario, opts.machine, seed,
+                                           options);
+        UnitRow r;
+        r.ok = result.attribution_exact;
+        double worst_margin = -1.0;  // max over cores of (error - bound)
+        std::uint64_t accesses = 0;
+        for (std::size_t core = 0; core < result.per_core.size(); ++core) {
           const double bound = verify::corun_family_error_bound(
               unit.scenario.families[core], unit.cores);
-          const double margin =
-              r.result.per_core[core].max_error() - bound;
-          r.worst_margin = std::max(r.worst_margin, margin);
+          const double margin = result.per_core[core].max_error() - bound;
+          worst_margin = std::max(worst_margin, margin);
           if (margin > 0.0) r.ok = false;
+          accesses += result.per_core[core].accesses;
         }
-        if (opts.verbose || !r.ok) r.report = r.result.to_string();
+        // The table leads with the core count, the JSON with the scenario.
+        r.row = {cell("", "cores", unit.cores),
+                 cell("scenario", "scenario", result.scenario),
+                 cell(kCoresKey, "", unit.cores),
+                 {"hw", "hw", unit.hw, unit.hw ? "on" : "off"},
+                 cell("", "accesses", accesses),
+                 percent_cell("max_error", "max err", result.max_error()),
+                 percent_cell("worst_margin", "margin", worst_margin),
+                 {"attribution_exact", "attrib", result.attribution_exact,
+                  result.attribution_exact ? "exact" : "BROKEN"},
+                 ok_cell(r.ok, "FAIL")};
+        if (opts.verbose || !r.ok) r.details = result.to_string();
         return r;
       });
-
-  bool failed = false;
-  std::printf("== composed co-run model vs exact shared-LRU oracle\n");
-  TextTable table({"cores", "scenario", "hw", "accesses", "max err", "margin",
-                   "attrib", "verdict"});
-  std::string reports;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    const UnitResult& r = unit_results[i];
-    if (!r.ok) failed = true;
-    std::uint64_t accesses = 0;
-    for (const verify::CoRunCoreComparison& c : r.result.per_core) {
-      accesses += c.accesses;
-    }
-    table.add_row({std::to_string(units[i].cores), r.result.scenario,
-                   units[i].hw ? "on" : "off", std::to_string(accesses),
-                   format_percent(r.result.max_error()),
-                   format_percent(r.worst_margin),
-                   r.result.attribution_exact ? "exact" : "BROKEN",
-                   r.ok ? "OK" : "FAIL"});
-    reports += r.report;
-  }
-  std::fputs(table.render().c_str(), stdout);
-  std::fputs(reports.c_str(), stdout);
+  report.print("== composed co-run model vs exact shared-LRU oracle\n");
+  bool failed = add_units(report, "scenarios", unit_results) > 0;
 
   // Interference prediction: a pointer-chase victim vs sparse streaming
   // aggressors whose speculative adjacent-line prefetcher fills only the
@@ -1642,124 +1115,362 @@ int cmd_corun(const Options& opts) {
   // pathology. The composition must *predict* the victim's degradation
   // before any run (higher shared-LLC miss ratio, no larger capacity
   // share) and the exact interleaved-LRU oracle must confirm it.
-  std::printf("== interference prediction (chase victim vs streaming)\n");
+  report.print("== interference prediction (chase victim vs streaming)\n");
   const std::vector<verify::CoRunInterference> interference_results =
       executor.map(core_counts.size(), [&](std::size_t i) {
         return verify::run_corun_interference(opts.machine, core_counts[i],
-                                              opts.verify_seed);
+                                              seed);
       });
-  TextTable interference({"cores", "mr off", "mr on", "exact off", "exact on",
-                          "share off", "share on", "verdict"});
+  std::vector<std::vector<Cell>> interference;
+  std::string details;
   for (const verify::CoRunInterference& r : interference_results) {
     const bool ok = r.predicted() && r.confirmed();
     if (!ok) failed = true;
-    interference.add_row(
-        {std::to_string(r.cores), format_percent(r.victim_mr_off),
-         format_percent(r.victim_mr_on), format_percent(r.exact_mr_off),
-         format_percent(r.exact_mr_on),
-         std::to_string(r.share_off) + "/" + std::to_string(r.llc_lines),
-         std::to_string(r.share_on) + "/" + std::to_string(r.llc_lines),
-         ok ? "degrades (OK)"
-            : (r.predicted() ? "NOT CONFIRMED" : "NOT PREDICTED")});
+    const auto share = [&](const char* key, const char* label,
+                           std::uint64_t lines) {
+      return Cell{key, label, lines,
+                  std::to_string(lines) + "/" + std::to_string(r.llc_lines)};
+    };
+    interference.push_back(
+        {cell(kCoresKey, "cores", r.cores),
+         percent_cell("victim_mr_off", "mr off", r.victim_mr_off),
+         percent_cell("victim_mr_on", "mr on", r.victim_mr_on),
+         percent_cell("exact_mr_off", "exact off", r.exact_mr_off),
+         percent_cell("exact_mr_on", "exact on", r.exact_mr_on),
+         share("share_off", "share off", r.share_off),
+         share("share_on", "share on", r.share_on),
+         {"predicted", "", r.predicted(), ""},
+         {"confirmed", "", r.confirmed(), ""},
+         cell("", "verdict",
+              ok ? "degrades (OK)"
+                 : (r.predicted() ? "NOT CONFIRMED" : "NOT PREDICTED"))});
+    if (opts.verbose) details += r.to_string();
   }
-  std::fputs(interference.render().c_str(), stdout);
-  if (opts.verbose) {
-    for (const verify::CoRunInterference& r : interference_results) {
-      std::fputs(r.to_string().c_str(), stdout);
-    }
-  }
+  report.rows("interference", std::move(interference));
+  report.text(details);
 
-  std::string golden_status = "skipped";
-  if (!opts.golden_dir.empty()) {
-    const std::string path = opts.golden_dir + "/" +
-                             verify::corun_golden_filename(opts.machine.name);
-    const std::string rendered = verify::render_corun_golden(
-        verify::compute_corun_suite_plans(opts.machine, &executor),
-        opts.machine.name);
-    if (opts.bless) {
-      std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "repf: cannot write %s\n", path.c_str());
-        return kExitFailure;
-      }
-      out << rendered;
-      std::printf("== co-run golden plans: blessed %s\n", path.c_str());
-      golden_status = "blessed";
-    } else {
-      std::ifstream in(path);
-      if (!in) {
-        std::printf("== co-run golden plans: %s missing (run with --bless)\n",
-                    path.c_str());
-        failed = true;
-        golden_status = "missing";
-      } else {
-        std::ostringstream text;
-        text << in.rdbuf();
-        const std::string diff = verify::diff_golden(text.str(), rendered);
-        if (diff.empty()) {
-          std::printf("== co-run golden plans: %s matches\n", path.c_str());
-          golden_status = "match";
-        } else {
-          std::printf(
-              "== co-run golden plans: %s DIFFERS (-golden/+current)\n%s",
-              path.c_str(), diff.c_str());
-          failed = true;
-          golden_status = "differs";
-        }
-      }
-    }
-  }
+  const bool golden_ok = check_golden(
+      opts, verify::corun_golden_filename, "co-run golden plans",
+      [&] {
+        return verify::render_corun_golden(
+            verify::compute_corun_suite_plans(opts.machine, &executor),
+            opts.machine.name);
+      },
+      report);
+  if (!golden_ok) failed = true;
 
-  if (!opts.json_path.empty()) {
-    const auto& num = json_num;
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"command\": \"corun\",\n"
-         << "  \"machine\": \"" << json::escape(opts.machine.name) << "\",\n"
-         << "  \"seed\": " << opts.verify_seed << ",\n"
-         << "  \"scenarios\": [\n";
-    for (std::size_t i = 0; i < unit_results.size(); ++i) {
-      const UnitResult& r = unit_results[i];
-      json << "    {\"scenario\": \"" << json::escape(r.result.scenario)
-           << "\", \"cores\": " << units[i].cores
-           << ", \"hw\": " << (units[i].hw ? "true" : "false")
-           << ", \"max_error\": " << num(r.result.max_error())
-           << ", \"worst_margin\": " << num(r.worst_margin)
-           << ", \"attribution_exact\": "
-           << (r.result.attribution_exact ? "true" : "false")
-           << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
-           << (i + 1 < unit_results.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n"
-         << "  \"interference\": [\n";
-    for (std::size_t i = 0; i < interference_results.size(); ++i) {
-      const verify::CoRunInterference& r = interference_results[i];
-      json << "    {\"cores\": " << r.cores
-           << ", \"victim_mr_off\": " << num(r.victim_mr_off)
-           << ", \"victim_mr_on\": " << num(r.victim_mr_on)
-           << ", \"exact_mr_off\": " << num(r.exact_mr_off)
-           << ", \"exact_mr_on\": " << num(r.exact_mr_on)
-           << ", \"share_off\": " << r.share_off
-           << ", \"share_on\": " << r.share_on
-           << ", \"predicted\": " << (r.predicted() ? "true" : "false")
-           << ", \"confirmed\": " << (r.confirmed() ? "true" : "false") << "}"
-           << (i + 1 < interference_results.size() ? "," : "") << "\n";
-    }
-    json << "  ],\n"
-         << "  \"golden\": \"" << json::escape(golden_status) << "\",\n"
-         << "  \"ok\": " << (failed ? "false" : "true") << "\n"
-         << "}\n";
-    const int rc = write_json_report(opts.json_path, json.str());
-    if (rc != 0) return rc;
-  }
-
+  report.field(ok_cell(!failed));
   if (failed) {
-    std::printf("corun FAILED (seed=%llu)\n",
-                static_cast<unsigned long long>(opts.verify_seed));
+    report.print("corun FAILED (seed=%llu)\n",
+                 static_cast<unsigned long long>(seed));
     return kExitFailure;
   }
-  std::printf("corun clean\n");
+  report.print("corun clean\n");
   return 0;
+}
+
+int cmd_commands(const Options&, Report& report);
+
+/// The subcommand registry: one row per command, driving usage(), the
+/// per-command --help, dispatch in main(), the machine-readable `repf
+/// commands` listing and the CLI self-test (every registered command must
+/// appear in --help and answer `<cmd> --help` with exit 0).
+struct CommandInfo {
+  const char* name;
+  /// Preformatted usage block (argument stub + aligned description lines).
+  const char* block;
+  /// Detailed `repf <command> --help` text.
+  const char* help;
+  int (*run)(const Options&, Report&);
+  bool needs_target;
+  /// The command builds a report and honors --json; listings refuse it.
+  bool json;
+};
+
+constexpr CommandInfo kCommands[] = {
+    {"list",
+     "  list                         list built-in workload models\n",
+     "repf list\n"
+     "  Print every built-in workload model (paper Table I) with its\n"
+     "  dynamic reference count and static load count.\n",
+     cmd_list, false, true},
+    {"dump",
+     "  dump <benchmark>             print a workload in the DSL\n",
+     "repf dump <benchmark>\n"
+     "  Print a built-in workload in the trace-program DSL, suitable\n"
+     "  for editing and feeding back to any other command.\n",
+     cmd_dump, true, false},
+    {"optimize",
+     "  optimize <file|benchmark>    run the pipeline, print the annotated\n"
+     "                               listing\n",
+     "repf optimize <file|benchmark> [options]\n"
+     "  Run the full sampling -> StatStack -> MDDLI -> stride ->\n"
+     "  bypass pipeline and print the annotated listing with the\n"
+     "  inserted prefetches.\n"
+     "    --machine amd|intel   target machine model (default amd)\n"
+     "    --no-nt               disable non-temporal (bypass) hints\n"
+     "    --stride-centric      use the stride-centric baseline pass\n"
+     "                          instead of the MDDLI pipeline\n"
+     "    --jobs N              engine workers for the pipeline\n"
+     "                          (byte-identical output at any N)\n"
+     "    --verbose             also print the effective analysis\n"
+     "                          knobs and the executor config\n"
+     "                          (audit trail)\n",
+     cmd_optimize, true, false},
+    {"run",
+     "  run <file|benchmark>         simulate under a chosen policy\n",
+     "repf run <file|benchmark> [options]\n"
+     "  Simulate one program alone on core 0 and print run metrics.\n"
+     "    --machine amd|intel   target machine model (default amd)\n"
+     "    --hw                  enable the hardware prefetcher\n"
+     "    --optimize            software-prefetch via the pipeline\n"
+     "                          before running\n"
+     "    --jobs N              engine workers for the optimize step\n"
+     "                          (byte-identical output at any N)\n"
+     "    --json FILE           also write the metrics as JSON\n"
+     "                          (atomic temp-file + rename)\n",
+     cmd_run, true, true},
+    {"coverage",
+     "  coverage <file|benchmark>    Table-I style coverage row\n",
+     "repf coverage <file|benchmark> [--machine amd|intel]\n"
+     "  Measure miss coverage and overhead (paper Table I columns)\n"
+     "  for the MDDLI-filtered and stride-centric passes.\n",
+     cmd_coverage, true, true},
+    {"phases",
+     "  phases <file|benchmark>      detect execution phases\n",
+     "repf phases <file|benchmark> [options]\n"
+     "  Profile the program, fingerprint fixed-size windows by their\n"
+     "  per-PC frequency signatures and cluster them into phases.\n"
+     "    --window N      window size in references (default 65536)\n"
+     "    --threshold X   signature Manhattan-distance threshold in\n"
+     "                    [0, 2] below which windows share a phase\n"
+     "                    (default 0.5)\n",
+     cmd_phases, true, true},
+    {"adapt",
+     "  adapt <file|benchmark>       run the online adaptive controller,\n"
+     "                               compare vs baseline and static plan\n",
+     "repf adapt <file|benchmark> [options]\n"
+     "  Run the online adaptive prefetch runtime (windowed sampling,\n"
+     "  phase detection, plan cache, bandwidth governor) against the\n"
+     "  no-prefetch baseline and the offline static plan.\n"
+     "    --machine amd|intel   target machine model (default amd)\n"
+     "    --window N            adaptation window in references\n"
+     "                          (default 1024)\n"
+     "    --threshold X         phase-match threshold in [0, 2]\n"
+     "                          (default 0.5)\n"
+     "    --save-cache FILE     write the learned plan cache as JSON\n"
+     "    --load-cache FILE     warm-start from a saved plan cache\n"
+     "    --jobs N              engine workers for the offline plan\n"
+     "                          and per-window re-optimizations\n"
+     "    --json FILE           also write the comparison as JSON\n"
+     "                          (atomic temp-file + rename)\n"
+     "    --verbose             also print the cached plan sets\n",
+     cmd_adapt, true, true},
+    {"faultcheck",
+     "  faultcheck <file|benchmark>  inject profile faults, verify the\n"
+     "                               never-hurts degradation invariant\n",
+     "repf faultcheck <file|benchmark> [options]\n"
+     "  Inject sampling faults into the profile and verify the\n"
+     "  never-hurts degradation invariant end-to-end.\n"
+     "    --machine amd|intel   target machine model (default amd)\n"
+     "    --rate PCT            single fault rate in percent\n"
+     "                          (default: sweep 0/5/20/50)\n"
+     "    --seed N              fault-injection seed\n"
+     "    --jobs N              evaluate fault rates on N engine\n"
+     "                          workers (byte-identical output)\n"
+     "    --verbose             print the degradation logs\n",
+     cmd_faultcheck, true, true},
+    {"verify",
+     "  verify                       differential oracle (StatStack vs\n"
+     "                               exact LRU) and golden-plan snapshots\n",
+     "repf verify [options]\n"
+     "  Run the differential verification harness: fuzzed traces with\n"
+     "  known analytic truth are replayed once into both the sampled\n"
+     "  StatStack estimator and an exact-LRU reference model, and the\n"
+     "  miss-ratio curves plus MDDLI/bypass decisions are compared.\n"
+     "  Output is deterministic: same seed, same bytes.\n"
+     "    --machine amd|intel   target machine model (default amd)\n"
+     "    --seed N              fuzzer seed (default 42)\n"
+     "    --families a,b,...    restrict to these fuzzer families\n"
+     "                          (strided subline chase blocked\n"
+     "                          phasemix hotcold; default all)\n"
+     "    --golden DIR          also check the suite's prefetch plans\n"
+     "                          against DIR/plans_<machine>.golden\n"
+     "    --bless               rewrite the golden snapshot instead\n"
+     "                          of checking it\n"
+     "    --jobs N              fan traces and golden benchmarks out\n"
+     "                          over N engine workers\n"
+     "                          (byte-identical output at any N)\n"
+     "    --json FILE           also write the results as JSON\n"
+     "                          (atomic temp-file + rename)\n"
+     "    --verbose             print the full per-trace reports\n",
+     cmd_verify, false, true},
+    {"corun",
+     "  corun                        co-run scenario matrix: composed\n"
+     "                               shared-LLC model vs the exact\n"
+     "                               interleaved-LRU oracle\n",
+     "repf corun [options]\n"
+     "  Run the multi-programmed co-run scenario matrix: per-core\n"
+     "  StatStack profiles are composed into shared-LLC miss-ratio\n"
+     "  curves (interleaving-ratio reuse inflation) and checked\n"
+     "  against one exact LRU stack over the interleaved trace, with\n"
+     "  per-family error bounds, an exact per-core miss-attribution\n"
+     "  identity, and the streaming-vs-chase interference prediction\n"
+     "  (hardware prefetching must be predicted to degrade the chase\n"
+     "  victim). Output is deterministic: same seed, same bytes.\n"
+     "    --machine amd|intel   target machine model (default amd)\n"
+     "    --seed N              fuzzer seed (default 42)\n"
+     "    --cores N             run only this core count\n"
+     "                          (default matrix: 2, 4, 8; max 16)\n"
+     "    --golden DIR          also check the co-run victim plans\n"
+     "                          against DIR/corun_plans_<machine>\n"
+     "                          .golden\n"
+     "    --bless               rewrite the golden snapshot instead\n"
+     "                          of checking it\n"
+     "    --jobs N              fan scenario cells and golden\n"
+     "                          benchmarks out over N engine workers\n"
+     "                          (byte-identical output at any N)\n"
+     "    --json FILE           also write the results as JSON\n"
+     "                          (atomic temp-file + rename)\n"
+     "    --verbose             print the full per-scenario reports\n",
+     cmd_corun, false, true},
+    {"chaos",
+     "  chaos                        replay a seeded fault schedule against\n"
+     "                               the supervised runtime, check recovery\n"
+     "                               (--serve targets the advisory service)\n",
+     "repf chaos [options]\n"
+     "  Generate a seeded schedule of fault episodes (window drops,\n"
+     "  clock skew, governor blackout, profile corruption), replay it\n"
+     "  against the supervised adaptive runtime on a synthetic\n"
+     "  multi-core mix, and check the recovery gates: the chaotic run\n"
+     "  never loses more than 1 % to the no-prefetch baseline, every\n"
+     "  recovery completes within 64 windows, no circuit opens, and a\n"
+     "  zero-fault schedule trips nothing. Output is deterministic:\n"
+     "  same seed, same bytes. Exits 3 if any gate fails.\n"
+     "    --machine amd|intel   target machine model (default amd)\n"
+     "    --rate PCT            single fault rate in percent\n"
+     "                          (default: sweep 0/10/25/50)\n"
+     "    --seed N              schedule seed (default 0xC4A05)\n"
+     "    --cores N             cores in the synthetic mix\n"
+     "                          (default 2, max 16)\n"
+     "    --serve               target the advisory service tier: a\n"
+     "                          fault-rate sweep of injected cache\n"
+     "                          faults with double-run determinism,\n"
+     "                          breaker, and degradation gates\n"
+     "    --crash-check         also sweep crash consistency: plan\n"
+     "                          cache kill/corruption, or with --serve\n"
+     "                          the journal tear/recover/ack audit\n"
+     "    --poison-warm-start   with --serve: also sweep poisoned\n"
+     "                          warm-start recovery — bit-flipped,\n"
+     "                          stale-fingerprint, and truncated shard\n"
+     "                          journals must cost cache warmth only\n"
+     "                          (quarantine/reject), never a stale or\n"
+     "                          alien plan, a lost ack, or the daemon\n"
+     "    --jobs N              replay fault rates on N engine\n"
+     "                          workers (byte-identical output)\n"
+     "    --json FILE           also write the gate results as JSON\n"
+     "                          (atomic temp-file + rename)\n"
+     "    --verbose             print the fault schedule and per-core\n"
+     "                          domain stats\n",
+     cmd_chaos, false, true},
+    {"serve",
+     "  serve                        run the advisory plan service under\n"
+     "                               simulated client load, check the\n"
+     "                               overload/degradation gates\n",
+     "repf serve [options]\n"
+     "  Run the long-lived advisory plan service against seeded mixed\n"
+     "  hot/cold traffic from N simulated client cores in virtual\n"
+     "  time: cache hits answer immediately, misses solve on the\n"
+     "  analysis engine under a deadline budget with cooperative\n"
+     "  cancellation, and overload degrades (last-known-good or\n"
+     "  no-prefetch) instead of blocking. Checks the robustness\n"
+     "  gates: bounded queue, no deadline-missed answer served as\n"
+     "  fresh, every degraded answer safe. Output is deterministic:\n"
+     "  same seed, same bytes, at any --jobs. Exits 3 on any gate\n"
+     "  failure.\n"
+     "    --machine amd|intel   target machine model (default amd)\n"
+     "    --cores N             simulated client cores (default 64;\n"
+     "                          no upper bound — virtual time)\n"
+     "    --steps N             virtual ticks to run (default 512)\n"
+     "    --seed N              traffic/service seed (default 0xC4A05)\n"
+     "    --journal DIR         journal acked plans to per-shard\n"
+     "                          append-mode files under DIR (created\n"
+     "                          if missing), headers stamped with the\n"
+     "                          machine-model/knob fingerprint\n"
+     "    --warm-start DIR      trust-but-verify warm start from a\n"
+     "                          prior run's shard journals in DIR:\n"
+     "                          fingerprint + CRC + plan-sanity\n"
+     "                          revalidation, suspect state is\n"
+     "                          quarantined (that phase re-solves\n"
+     "                          fresh), never served\n"
+     "    --jobs N              engine workers for the solve batches\n"
+     "                          (byte-identical output at any N)\n"
+     "    --json FILE           also write the metrics as JSON\n"
+     "                          (atomic temp-file + rename)\n"
+     "    --verbose             also print the per-shard breaker\n"
+     "                          states and cache sizes\n",
+     cmd_serve, false, true},
+    {"commands",
+     "  commands                     print registered subcommand names, one\n"
+     "                               per line (for scripts and self-tests)\n",
+     "repf commands\n"
+     "  Print every registered subcommand name, one per line. The CLI\n"
+     "  self-test iterates this list to prove each command appears in\n"
+     "  --help and answers `repf <cmd> --help` with exit 0.\n",
+     cmd_commands, false, false},
+};
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: repf <command> [args]   (repf <command> --help for "
+               "details)\n");
+  for (const CommandInfo& command : kCommands) {
+    std::fputs(command.block, stderr);
+  }
+  std::fprintf(
+      stderr,
+      "--json FILE: every command but dump, optimize and commands also\n"
+      "             writes its report as JSON (atomic temp-file + rename)\n"
+      "exit codes: 0 ok, 1 operational failure, 2 invalid usage,\n"
+      "            3 degradation-gate violation (output names the seed)\n");
+  return kExitUsage;
+}
+
+/// `repf commands`: the registry, machine-readable. The CLI self-test
+/// iterates this to prove every command is documented and help-answering.
+int cmd_commands(const Options&, Report& report) {
+  for (const CommandInfo& command : kCommands) {
+    report.print("%s\n", command.name);
+  }
+  return 0;
+}
+
+/// The value of numeric flag `flag`: one whole, finite number in [lo, hi],
+/// or in (lo, hi] when `open_low`. Prints the error and returns nothing
+/// otherwise.
+template <typename T>
+std::optional<T> flag_value(const std::string& flag, const char* text, T lo,
+                            T hi, bool open_low = false) {
+  const Expected<T> value = [&] {
+    if constexpr (std::is_same_v<T, double>) {
+      return support::parse_finite_double(text);
+    } else {
+      return support::parse_uint64(text);
+    }
+  }();
+  if (!value.has_value()) {
+    std::fprintf(stderr, "%s: %s: %s\n", flag.c_str(),
+                 value.status().message().c_str(), text);
+    return std::nullopt;
+  }
+  if (*value < lo || (open_low && *value == lo) || *value > hi) {
+    std::ostringstream range;
+    range << (open_low ? "(" : "[") << lo << ", " << hi << "]";
+    std::fprintf(stderr, "%s must be in %s\n", flag.c_str(),
+                 range.str().c_str());
+    return std::nullopt;
+  }
+  return *value;
 }
 
 }  // namespace
@@ -1768,6 +1479,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   Options opts;
   opts.command = argv[1];
+  constexpr std::uint64_t kNoLimit = std::numeric_limits<std::uint64_t>::max();
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--machine") {
@@ -1793,34 +1505,26 @@ int main(int argc, char** argv) {
       opts.verbose = true;
     } else if (arg == "--rate") {
       if (++i >= argc) return usage();
-      opts.fault_rate = std::atof(argv[i]) / 100.0;
-      if (opts.fault_rate < 0.0 || opts.fault_rate > 1.0) {
-        std::fprintf(stderr, "--rate must be in [0, 100]\n");
-        return kExitUsage;
-      }
+      const auto percent = flag_value(arg, argv[i], 0.0, 100.0);
+      if (!percent) return kExitUsage;
+      opts.fault_rate = *percent / 100.0;
     } else if (arg == "--seed") {
       if (++i >= argc) return usage();
-      opts.fault_seed = static_cast<std::uint64_t>(std::atoll(argv[i]));
-      opts.verify_seed = opts.fault_seed;
-      opts.chaos_seed = opts.fault_seed;
+      opts.seed = flag_value<std::uint64_t>(arg, argv[i], 0, kNoLimit);
+      if (!opts.seed) return kExitUsage;
     } else if (arg == "--cores") {
       if (++i >= argc) return usage();
       // Upper bound is per-command: chaos caps at 16 (cycle-accurate cores
       // are expensive), serve takes any count (virtual-time clients).
-      const long long cores = std::atoll(argv[i]);
-      if (cores < 1 || cores > 1'000'000) {
-        std::fprintf(stderr, "--cores must be in [1, 1000000]\n");
-        return kExitUsage;
-      }
-      opts.chaos_cores = static_cast<int>(cores);
+      const auto cores = flag_value<std::uint64_t>(arg, argv[i], 1, 1'000'000);
+      if (!cores) return kExitUsage;
+      opts.chaos_cores = static_cast<int>(*cores);
     } else if (arg == "--steps") {
       if (++i >= argc) return usage();
-      const long long steps = std::atoll(argv[i]);
-      if (steps < 1 || steps > 100'000'000) {
-        std::fprintf(stderr, "--steps must be in [1, 100000000]\n");
-        return kExitUsage;
-      }
-      opts.serve_steps = static_cast<std::uint64_t>(steps);
+      const auto steps =
+          flag_value<std::uint64_t>(arg, argv[i], 1, 100'000'000);
+      if (!steps) return kExitUsage;
+      opts.serve_steps = *steps;
     } else if (arg == "--serve") {
       opts.chaos_serve = true;
     } else if (arg == "--crash-check") {
@@ -1843,27 +1547,19 @@ int main(int argc, char** argv) {
       opts.bless = true;
     } else if (arg == "--window") {
       if (++i >= argc) return usage();
-      const long long window = std::atoll(argv[i]);
-      if (window <= 0) {
-        std::fprintf(stderr, "--window must be positive\n");
-        return kExitUsage;
-      }
-      opts.window = static_cast<std::uint64_t>(window);
+      const auto window = flag_value<std::uint64_t>(arg, argv[i], 1, kNoLimit);
+      if (!window) return kExitUsage;
+      opts.window = *window;
     } else if (arg == "--threshold") {
       if (++i >= argc) return usage();
-      opts.threshold = std::atof(argv[i]);
-      if (opts.threshold <= 0.0 || opts.threshold > 2.0) {
-        std::fprintf(stderr, "--threshold must be in (0, 2]\n");
-        return kExitUsage;
-      }
+      const auto threshold = flag_value(arg, argv[i], 0.0, 2.0, true);
+      if (!threshold) return kExitUsage;
+      opts.threshold = *threshold;
     } else if (arg == "--jobs") {
       if (++i >= argc) return usage();
-      const long long jobs = std::atoll(argv[i]);
-      if (jobs < 1 || jobs > 256) {
-        std::fprintf(stderr, "--jobs must be in [1, 256]\n");
-        return kExitUsage;
-      }
-      opts.jobs = static_cast<int>(jobs);
+      const auto jobs = flag_value<std::uint64_t>(arg, argv[i], 1, 256);
+      if (!jobs) return kExitUsage;
+      opts.jobs = static_cast<int>(*jobs);
     } else if (arg == "--json") {
       if (++i >= argc) return usage();
       opts.json_path = argv[i];
@@ -1888,31 +1584,43 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
+  const CommandInfo* command = nullptr;
+  for (const CommandInfo& info : kCommands) {
+    if (opts.command == info.name) command = &info;
+  }
+  if (command == nullptr) return usage();
   if (opts.help) {
-    const char* help = help_for(opts.command);
-    if (!help) return usage();
-    std::fputs(help, stdout);
+    std::fputs(command->help, stdout);
     return 0;
   }
+  if (command->needs_target && opts.target.empty()) return usage();
+  if (!command->json && !opts.json_path.empty()) {
+    std::fprintf(stderr, "repf %s prints a listing, not a report: no --json\n",
+                 command->name);
+    return kExitUsage;
+  }
 
+  Report report(opts.command);
+  int rc = 0;
   try {
-    if (opts.command == "list") return cmd_list();
-    if (opts.command == "commands") return cmd_commands();
-    if (opts.command == "verify") return cmd_verify(opts);
-    if (opts.command == "corun") return cmd_corun(opts);
-    if (opts.command == "chaos") return cmd_chaos(opts);
-    if (opts.command == "serve") return cmd_serve(opts);
-    if (opts.target.empty()) return usage();
-    if (opts.command == "dump") return cmd_dump(opts);
-    if (opts.command == "optimize") return cmd_optimize(opts);
-    if (opts.command == "run") return cmd_run(opts);
-    if (opts.command == "coverage") return cmd_coverage(opts);
-    if (opts.command == "phases") return cmd_phases(opts);
-    if (opts.command == "adapt") return cmd_adapt(opts);
-    if (opts.command == "faultcheck") return cmd_faultcheck(opts);
+    rc = command->run(opts, report);
   } catch (const std::exception& e) {
+    // Whatever the command reported before failing is still its output.
+    std::fputs(report.render_text().c_str(), stdout);
     std::fprintf(stderr, "repf: %s\n", e.what());
     return kExitFailure;
   }
-  return usage();
+  std::fputs(report.render_text().c_str(), stdout);
+  // The JSON is written whatever the verdict, so CI can harvest metrics
+  // from failing runs too.
+  if (rc != kExitUsage && !opts.json_path.empty()) {
+    const Status saved =
+        support::write_file_atomic(opts.json_path, report.render_json());
+    if (!saved.ok()) {
+      std::fprintf(stderr, "repf: %s: %s\n", opts.json_path.c_str(),
+                   saved.to_string().c_str());
+      return kExitFailure;
+    }
+  }
+  return rc;
 }
