@@ -23,7 +23,6 @@
 #include "bench_common.hh"
 #include "engine/executor.hh"
 #include "engine/pipeline.hh"
-#include "engine/store.hh"
 #include "support/text_table.hh"
 
 namespace {
@@ -58,12 +57,10 @@ PassResult run_pass(int jobs, const std::vector<std::string>& names) {
     }
     // The optimize artifacts themselves, via the engine's stable
     // serialization (per-PC MRC construction fans out inside StatStack).
-    engine::ArtifactStore store;
     for (const std::string& name : names) {
       const workloads::Program program = workloads::make_benchmark(name);
-      fingerprint += engine::serialize_report(
-          engine::run_optimize(program, machine, {},
-                               engine::EngineContext{&executor, &store}));
+      fingerprint += engine::serialize_report(engine::run_optimize(
+          program, machine, {}, engine::EngineContext{&executor}));
     }
   }
 

@@ -271,7 +271,7 @@ engine::StageGraph<CoRunArtifacts> build_corun_graph() {
                ctx.for_each(n, [&](std::size_t i) {
                  core::SamplerConfig config;
                  config.sample_period = auto_sample_period(a.traces[i].size());
-                 config.seed = a.knobs.sample_seed + i;
+                 config.seed = a.options.sampler.seed + i;
                  core::Sampler sampler(config);
                  for (const CoreAccess& access : a.traces[i]) {
                    sampler.observe(access.pc, access.addr);
@@ -316,17 +316,18 @@ engine::StageGraph<CoRunArtifacts> build_corun_graph() {
                const std::size_t n = a.profiles.size();
                a.reports.resize(n);
                ctx.for_each(n, [&](std::size_t i) {
-                 engine::AnalysisKnobs knobs = a.knobs;
-                 knobs.llc_effective_bytes =
+                 core::OptimizerOptions options = a.options;
+                 options.mddli.llc_effective_bytes =
                      a.effective_llc_lines[i] * kLineSize;
+                 options.bypass.llc_effective_bytes =
+                     options.mddli.llc_effective_bytes;
                  // Nested solves run serially inside the per-core fan-out;
                  // determinism comes from index-owned writes.
                  engine::EngineContext inner;
                  inner.cancel = ctx.cancel;
                  a.reports[i] = engine::run_optimize_with_profile(
                      (*a.programs)[i], demand_only_profile(a.profiles[i]),
-                     *a.machine, engine::make_optimizer_options(knobs),
-                     inner);
+                     *a.machine, options, inner);
                });
              }});
 

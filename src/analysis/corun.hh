@@ -33,7 +33,6 @@
 
 #include "core/pipeline.hh"
 #include "core/statstack.hh"
-#include "engine/options.hh"
 #include "engine/stage.hh"
 #include "sim/config.hh"
 #include "support/types.hh"
@@ -113,8 +112,8 @@ class CoRunModel {
   /// `core`'s effective capacity share of a shared LLC of `llc_lines`
   /// lines: the expected number of its *own* lines in the stack at the miss
   /// boundary, SD_core(D*). Clamped to [1, llc_lines]; a core whose co-run
-  /// never fills the cache keeps the full capacity. Feeds
-  /// engine::AnalysisKnobs::llc_effective_bytes (floor = conservative:
+  /// never fills the cache keeps the full capacity. Feeds the per-core plan
+  /// solve's {mddli,bypass}.llc_effective_bytes (floor = conservative:
   /// predicts more misses, never fewer).
   std::uint64_t effective_llc_lines(int core, std::uint64_t llc_lines) const;
 
@@ -144,7 +143,9 @@ struct CoRunArtifacts {
   // -- bound inputs
   const std::vector<workloads::Program>* programs = nullptr;
   const sim::MachineConfig* machine = nullptr;
-  engine::AnalysisKnobs knobs;
+  /// Per-core optimizer options; corun_sample seeds core i's sampler with
+  /// options.sampler.seed + i, and corun_mddli overrides the LLC shares.
+  core::OptimizerOptions options;
   /// Augment every core's trace with its hardware-prefetcher fill stream
   /// (machine->hw_prefetcher geometry, forced enabled).
   bool model_hw_prefetch = false;
@@ -172,9 +173,9 @@ struct CoRunArtifacts {
 /// The co-run pipeline: corun_trace → corun_sample → corun_statstack →
 /// corun_compose → corun_mddli. The last stage re-runs the full per-core
 /// optimization (MDDLI → stride/distance → bypass → insert) over the
-/// demand-only profile with knobs.llc_effective_bytes set to the composed
-/// effective share, so every downstream verdict prices LLC misses at the
-/// capacity the core actually gets.
+/// demand-only profile with options.{mddli,bypass}.llc_effective_bytes set
+/// to the composed effective share, so every downstream verdict prices LLC
+/// misses at the capacity the core actually gets.
 const engine::StageGraph<CoRunArtifacts>& corun_graph();
 
 /// Run the co-run graph over a fully bound artifact set.

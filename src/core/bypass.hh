@@ -33,8 +33,8 @@ struct BypassOptions {
   /// contention; 0 = the full machine.llc.size_bytes. A shrunken effective
   /// share moves the upper end of the flatness window: data that would be
   /// served out of an uncontended LLC no longer disqualifies bypassing when
-  /// co-runners would evict it first. Plumbed from
-  /// engine::AnalysisKnobs::llc_effective_bytes.
+  /// co-runners would evict it first. Set by the co-run pipeline together
+  /// with MddliOptions::llc_effective_bytes.
   std::uint64_t llc_effective_bytes = 0;
 };
 

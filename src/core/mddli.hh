@@ -28,8 +28,8 @@ struct MddliOptions {
   /// Shared-LLC capacity (bytes) this core can actually rely on under
   /// co-run contention. 0 means the full machine.llc.size_bytes (the
   /// single-core assumption baked in before co-run modeling existed). The
-  /// co-run pipeline sets it from CoRunModel::effective_llc_lines via
-  /// engine::AnalysisKnobs, so LLC miss ratios — and through them the
+  /// co-run pipeline sets it (with BypassOptions::llc_effective_bytes) from
+  /// CoRunModel::effective_llc_lines, so LLC miss ratios — and through them the
   /// average miss latency the cost-benefit filter uses — reflect
   /// contention-adjusted miss costs.
   std::uint64_t llc_effective_bytes = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <unordered_map>
 
 #include "core/sampler.hh"
@@ -33,6 +32,22 @@ PhaseSignature normalize_signature(
   return sig;
 }
 
+int assign_phase(const PhaseSignature& signature,
+                 std::vector<PhaseSignature>& centroids, double threshold) {
+  int best = -1;
+  double best_distance = threshold;
+  for (std::size_t i = 0; i < centroids.size(); ++i) {
+    const double d = signature_distance(signature, centroids[i]);
+    if (d < best_distance) {
+      best_distance = d;
+      best = static_cast<int>(i);
+    }
+  }
+  if (best >= 0) return best;
+  centroids.push_back(signature);
+  return static_cast<int>(centroids.size()) - 1;
+}
+
 int PhasedProfile::phase_at(std::uint64_t ref) const {
   int id = segments.empty() ? 0 : segments.back().phase_id;
   for (const PhaseSegment& seg : segments) {
@@ -42,22 +57,32 @@ int PhasedProfile::phase_at(std::uint64_t ref) const {
 }
 
 Profile PhasedProfile::phase_profile(int phase_id) const {
+  // The phase profile is a window of the phase's own references: a
+  // position counts the phase's references before it. A span longer than
+  // the whole window (it ran through other phases' segments) is not
+  // observable inside it: such a reuse dangles, as a watch still open at
+  // the end of a sampling window does, and such a stride sample is
+  // dropped, as an unclosed breakpoint is.
+  const std::uint64_t window = phase_references(phase_id);
+  const auto local_ref = [&](std::uint64_t ref) {
+    std::uint64_t local = 0;
+    for (const PhaseSegment& seg : segments) {
+      if (seg.phase_id != phase_id || ref <= seg.begin_ref) continue;
+      local += std::min(ref, seg.end_ref) - seg.begin_ref;
+    }
+    return local;
+  };
+
   Profile out;
   out.sample_period = full.sample_period;
-  for (const ReuseSample& s : full.reuse_samples) {
-    if (phase_at(s.at_ref) == phase_id) out.reuse_samples.push_back(s);
-  }
-  for (const StrideSample& s : full.stride_samples) {
-    if (phase_at(s.at_ref) == phase_id) out.stride_samples.push_back(s);
-  }
+  out.total_references = window;
   // Dangling samples have no closing position; attribute them to every
   // phase proportionally to its share of references (they mostly belong to
   // streaming loads that execute in the long phases anyway).
-  const double share =
-      full.total_references
-          ? static_cast<double>(phase_references(phase_id)) /
-                static_cast<double>(full.total_references)
-          : 0.0;
+  const double share = full.total_references
+                           ? static_cast<double>(window) /
+                                 static_cast<double>(full.total_references)
+                           : 0.0;
   out.dangling_reuse_samples = static_cast<std::uint64_t>(
       std::llround(static_cast<double>(full.dangling_reuse_samples) * share));
   for (const auto& [pc, count] : full.dangling_by_pc) {
@@ -65,12 +90,25 @@ Profile PhasedProfile::phase_profile(int phase_id) const {
         std::llround(static_cast<double>(count) * share));
     if (scaled > 0) out.dangling_by_pc[pc] = scaled;
   }
-  // Execution counts: scale the full-run counts by the phase share of each
-  // PC's activity is unknown per-phase; approximate with the phase share of
-  // total references for PCs that appear in the phase's samples, falling
-  // back to full counts (conservative upper bound for loop caps).
+
+  for (ReuseSample s : full.reuse_samples) {
+    if (phase_at(s.at_ref) != phase_id) continue;
+    if (s.distance >= window) {
+      ++out.dangling_reuse_samples;
+      ++out.dangling_by_pc[s.first_pc];
+      continue;
+    }
+    s.at_ref = local_ref(s.at_ref);
+    out.reuse_samples.push_back(s);
+  }
+  for (StrideSample s : full.stride_samples) {
+    if (phase_at(s.at_ref) != phase_id || s.recurrence >= window) continue;
+    s.at_ref = local_ref(s.at_ref);
+    out.stride_samples.push_back(s);
+  }
+  // Execution counts stay the full run's: per-phase counts are not recorded,
+  // and the full counts are a conservative upper bound for loop caps.
   out.pc_execution_counts = full.pc_execution_counts;
-  out.total_references = phase_references(phase_id);
   return out;
 }
 
@@ -98,21 +136,9 @@ PhasedProfile profile_with_phases(const workloads::Program& program,
 
   auto close_window = [&](std::uint64_t end_ref) {
     if (end_ref == window_start) return;
-    const PhaseSignature sig =
-        normalize_signature(window_counts, end_ref - window_start);
-    int best = -1;
-    double best_distance = phase_options.similarity_threshold;
-    for (std::size_t i = 0; i < centroids.size(); ++i) {
-      const double d = signature_distance(sig, centroids[i]);
-      if (d < best_distance) {
-        best_distance = d;
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) {
-      best = static_cast<int>(centroids.size());
-      centroids.push_back(sig);
-    }
+    const int best = assign_phase(
+        normalize_signature(window_counts, end_ref - window_start), centroids,
+        phase_options.similarity_threshold);
     if (!out.segments.empty() && out.segments.back().phase_id == best &&
         out.segments.back().end_ref == window_start) {
       out.segments.back().end_ref = end_ref;  // extend the current segment
@@ -135,85 +161,6 @@ PhasedProfile profile_with_phases(const workloads::Program& program,
 
   out.full = sampler.finish();
   out.num_phases = static_cast<int>(centroids.size());
-  return out;
-}
-
-PhasedOptimizationReport phase_aware_optimize(
-    const workloads::Program& program, const sim::MachineConfig& machine,
-    const OptimizerOptions& options, const PhaseOptions& phase_options) {
-  PhasedOptimizationReport out;
-  out.phases = profile_with_phases(program, options.sampler, phase_options,
-                                   options.profile_max_refs);
-  out.merged.benchmark = program.name;
-  out.merged.profile = out.phases.full;
-  out.merged.cycles_per_memop = measure_cycles_per_memop(program, machine);
-
-  const ReuseGraph graph(out.phases.full);
-
-  // For every load, keep the plan from the phase where it causes the most
-  // misses; the bypass decision must hold in *every* phase that prefetches
-  // the load (a single temporal phase forbids NT).
-  std::map<Pc, std::pair<double, PrefetchPlan>> best_plans;
-  std::map<Pc, bool> bypass_ok;
-
-  out.per_phase_plans.resize(
-      static_cast<std::size_t>(out.phases.num_phases));
-  for (int phase = 0; phase < out.phases.num_phases; ++phase) {
-    const Profile profile = out.phases.phase_profile(phase);
-    if (profile.reuse_samples.size() + profile.dangling_reuse_samples <
-        options.mddli.min_samples) {
-      continue;  // phase too small to model
-    }
-    const StatStack model(profile);
-    const auto delinquent =
-        identify_delinquent_loads(model, profile, machine, options.mddli);
-
-    std::unordered_map<Pc, std::vector<StrideSample>> by_pc;
-    for (const StrideSample& s : profile.stride_samples) {
-      by_pc[s.pc].push_back(s);
-    }
-
-    for (const DelinquentLoad& load : delinquent) {
-      auto it = by_pc.find(load.pc);
-      if (it == by_pc.end()) continue;
-      const StrideInfo info =
-          analyze_strides(load.pc, it->second, options.stride);
-      if (!info.regular) continue;
-
-      PrefetchDistanceParams params;
-      params.latency = load.avg_miss_latency;
-      params.cycles_per_memop = out.merged.cycles_per_memop;
-      params.loop_references = profile.executions_of(load.pc);
-      const auto distance = prefetch_distance_bytes(info, params);
-      if (!distance) continue;
-
-      const bool bypass =
-          options.enable_non_temporal &&
-          should_bypass(load.pc, graph, model, machine, options.bypass);
-
-      PrefetchPlan plan;
-      plan.pc = load.pc;
-      plan.distance_bytes = *distance;
-      plan.hint = bypass ? workloads::PrefetchHint::NTA
-                         : workloads::PrefetchHint::T0;
-      out.per_phase_plans[static_cast<std::size_t>(phase)].push_back(plan);
-
-      auto [bit, inserted] = bypass_ok.try_emplace(load.pc, bypass);
-      if (!inserted) bit->second = bit->second && bypass;
-      auto [pit, fresh] = best_plans.try_emplace(
-          load.pc, load.estimated_l1_misses, plan);
-      if (!fresh && load.estimated_l1_misses > pit->second.first) {
-        pit->second = {load.estimated_l1_misses, plan};
-      }
-    }
-  }
-
-  for (auto& [pc, scored] : best_plans) {
-    PrefetchPlan plan = scored.second;
-    if (!bypass_ok[pc]) plan.hint = workloads::PrefetchHint::T0;
-    out.merged.plans.push_back(plan);
-  }
-  out.merged.optimized = insert_prefetches(program, out.merged.plans);
   return out;
 }
 

@@ -5,9 +5,9 @@
 // behaviour; one global profile blurs them together. This pass splits the
 // profiled reference stream into fixed windows, fingerprints each window by
 // its static-instruction mix, clusters consecutive windows into phases, and
-// runs the full MDDLI/stride/bypass analysis per phase. The merged plan
-// keeps, for every load, the decision from the phase where it matters most
-// (highest estimated misses).
+// runs the engine's full analysis graph (validate → StatStack → MDDLI →
+// stride → bypass) per phase. The merged plan keeps, for every load, the
+// decision from the phase where it matters most (highest estimated misses).
 #pragma once
 
 #include <cstdint>
@@ -33,6 +33,14 @@ double signature_distance(const PhaseSignature& a, const PhaseSignature& b);
 /// `total` is zero.
 PhaseSignature normalize_signature(
     const std::unordered_map<Pc, std::uint64_t>& counts, std::uint64_t total);
+
+/// Nearest-centroid phase assignment, shared by profile_with_phases and
+/// runtime::PhaseDetector: the centroid whose distance to `signature` is
+/// strictly below `threshold` and smallest wins (the first one on ties).
+/// An unmatched signature founds a new phase: it is appended to
+/// `centroids`. Returns the phase index.
+int assign_phase(const PhaseSignature& signature,
+                 std::vector<PhaseSignature>& centroids, double threshold);
 
 struct PhaseOptions {
   /// References per signature window.
@@ -60,7 +68,12 @@ struct PhasedProfile {
   int phase_at(std::uint64_t ref) const;
 
   /// Sub-profile containing only the samples recorded inside `phase_id`'s
-  /// segments; execution counts and totals are scaled to the phase.
+  /// segments, positioned in phase-local coordinates: a sample's at_ref
+  /// counts the phase's references before it, so every position lies
+  /// within the phase's total_references. A reuse longer than that whole
+  /// window counts as dangling and a stride sample that long is dropped;
+  /// the run's dangling counts are scaled to the phase's share of
+  /// references.
   Profile phase_profile(int phase_id) const;
 
   /// Total references spent in a phase.
@@ -74,16 +87,23 @@ PhasedProfile profile_with_phases(
     const PhaseOptions& phase_options = {},
     std::uint64_t max_refs = ~std::uint64_t{0});
 
-/// Phase-aware variant of optimize_program: per-phase analysis, merged
-/// plans. Reported delinquent loads / stride infos are the union across
-/// phases.
+/// Phase-aware variant of optimize_program: one engine solve per phase,
+/// merged plans.
 struct PhasedOptimizationReport {
+  /// The merged result: the full-run profile, the run's Δ, the merged plans
+  /// and the optimized program. Its delinquent loads, stride infos and
+  /// degradation log stay empty: they belong to the per-phase solves.
   OptimizationReport merged;
   PhasedProfile phases;
   /// Plans each phase produced on its own (index = phase id).
   std::vector<std::vector<PrefetchPlan>> per_phase_plans;
 };
 
+/// Δ is resolved once for the whole run (engine/delta.hh precedence) and
+/// passed to every phase's solve as the assumed value. Each load takes its
+/// plan from the phase with the most estimated L1 misses and keeps NT only
+/// if every phase that prefetches it chose NT. Defined with the other
+/// engine entry points in engine/pipeline.cc.
 PhasedOptimizationReport phase_aware_optimize(
     const workloads::Program& program, const sim::MachineConfig& machine,
     const OptimizerOptions& options = {},

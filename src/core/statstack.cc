@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "engine/executor.hh"
-#include "engine/store.hh"
 
 namespace re::core {
 
@@ -115,12 +114,8 @@ double MissRatioCurve::miss_ratio_lines(std::uint64_t cache_lines) const {
   return misses / samples_;
 }
 
-StatStack::StatStack(const Profile& profile)
-    : StatStack(profile, nullptr, nullptr) {}
-
 StatStack::StatStack(const Profile& profile,
-                     const engine::Executor* executor,
-                     engine::ArtifactStore* store) {
+                     const engine::Executor* executor) {
   Histogram finite;
   for (const ReuseSample& s : profile.reuse_samples) {
     finite.add(s.distance);
@@ -129,35 +124,19 @@ StatStack::StatStack(const Profile& profile,
       finite, static_cast<double>(profile.dangling_reuse_samples));
 
   // Group reuse distances by the reusing (second) PC: each sample is an
-  // unbiased observation of one execution of that PC. With a store, hot
-  // PCs keep their dense index across windowed solves and the grouping
-  // buffers keep their capacity — steady-state windows allocate nothing.
-  engine::ArtifactStore local;
-  engine::ArtifactStore& scratch = store != nullptr ? *store : local;
-  scratch.clear();
-  engine::PcInterner& table = scratch.pc_table();
-
+  // unbiased observation of one execution of that PC.
+  std::unordered_map<Pc, std::vector<RefCount>> groups;
+  std::vector<RefCount> all;
+  all.reserve(profile.reuse_samples.size());
   for (const ReuseSample& s : profile.reuse_samples) {
-    table.intern(s.second_pc);
+    groups[s.second_pc].push_back(s.distance);
+    all.push_back(s.distance);
   }
   // Dangling samples join the curve of their sampled PC (see
   // Profile::dangling_by_pc); PCs with only dangling samples still get a
   // curve (pure streaming with no observed reuse at all).
-  for (const auto& [pc, count] : profile.dangling_by_pc) {
-    (void)count;
-    table.intern(pc);
-  }
-  std::vector<std::vector<RefCount>>& groups =
-      scratch.reuse_groups(table.size());
-  std::vector<std::uint32_t>& touched = scratch.touched_pcs();
-
-  std::vector<RefCount> all;
-  all.reserve(profile.reuse_samples.size());
-  for (const ReuseSample& s : profile.reuse_samples) {
-    const std::uint32_t id = table.index_of(s.second_pc);
-    if (groups[id].empty()) touched.push_back(id);
-    groups[id].push_back(s.distance);
-    all.push_back(s.distance);
+  for (const auto& entry : profile.dangling_by_pc) {
+    groups.try_emplace(entry.first);
   }
 
   std::sort(all.begin(), all.end());
@@ -165,12 +144,8 @@ StatStack::StatStack(const Profile& profile,
       std::move(all), static_cast<double>(profile.dangling_reuse_samples),
       solver_);
 
-  pcs_.reserve(touched.size() + profile.dangling_by_pc.size());
-  for (const std::uint32_t id : touched) pcs_.push_back(table.pc_of(id));
-  for (const auto& [pc, count] : profile.dangling_by_pc) {
-    (void)count;
-    if (groups[table.index_of(pc)].empty()) pcs_.push_back(pc);
-  }
+  pcs_.reserve(groups.size());
+  for (const auto& entry : groups) pcs_.push_back(entry.first);
   std::sort(pcs_.begin(), pcs_.end());
 
   // Per-PC curve construction is embarrassingly parallel: unit i owns
@@ -180,14 +155,16 @@ StatStack::StatStack(const Profile& profile,
   std::vector<MissRatioCurve> curves(pcs_.size());
   const auto build = [&](std::size_t i) {
     const Pc pc = pcs_[i];
-    std::vector<RefCount>& distances = groups[table.index_of(pc)];
+    // find() never rehashes: concurrent units each touch only their own
+    // group.
+    std::vector<RefCount>& distances = groups.find(pc)->second;
     std::sort(distances.begin(), distances.end());
     double dangling = 0.0;
     auto it = profile.dangling_by_pc.find(pc);
     if (it != profile.dangling_by_pc.end()) {
       dangling = static_cast<double>(it->second);
     }
-    curves[i] = MissRatioCurve(distances, dangling, solver_);
+    curves[i] = MissRatioCurve(std::move(distances), dangling, solver_);
   };
   if (executor != nullptr) {
     executor->for_each(pcs_.size(), build);

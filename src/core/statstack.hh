@@ -28,7 +28,6 @@
 
 namespace re::engine {
 class Executor;
-class ArtifactStore;
 }  // namespace re::engine
 
 namespace re::core {
@@ -94,15 +93,11 @@ class MissRatioCurve {
 /// The full model: global stack-distance solver plus per-PC curves.
 class StatStack {
  public:
-  explicit StatStack(const Profile& profile);
-
-  /// Engine-aware build: per-PC curve construction fans out over
-  /// `executor`'s workers (ordered reduction — the model is byte-identical
-  /// to the serial build at any worker count), and `store` supplies the
-  /// interned PC table plus reusable grouping buffers so repeated windowed
-  /// solves allocate nothing in steady state. Either argument may be null.
-  StatStack(const Profile& profile, const engine::Executor* executor,
-            engine::ArtifactStore* store);
+  /// Per-PC curve construction fans out over `executor`'s workers when one
+  /// is given (ordered reduction — the model is byte-identical to the
+  /// serial build at any worker count).
+  explicit StatStack(const Profile& profile,
+                     const engine::Executor* executor = nullptr);
 
   const StackDistanceSolver& solver() const { return *solver_; }
 

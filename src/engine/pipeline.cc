@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 #include <unordered_map>
 #include <utility>
 
+#include "core/phases.hh"
 #include "engine/delta.hh"
 #include "workloads/dsl.hh"
 
@@ -95,8 +97,8 @@ Stage<OptimizeArtifacts> statstack_stage() {
       "model (per-PC MRCs), reuse_graph",
       [](const OptimizeArtifacts& a) { return a.profile_usable; },
       [](OptimizeArtifacts& a, const EngineContext& ctx) {
-        a.model = std::make_unique<core::StatStack>(a.report.profile,
-                                                    ctx.executor, ctx.store);
+        a.model =
+            std::make_unique<core::StatStack>(a.report.profile, ctx.executor);
         a.reuse_graph = std::make_unique<core::ReuseGraph>(a.report.profile);
       },
   };
@@ -337,12 +339,6 @@ const StageGraph<OptimizeArtifacts>& estimator_graph() {
   return graph;
 }
 
-void run_graph(const StageGraph<OptimizeArtifacts>& graph,
-               OptimizeArtifacts& artifacts, const EngineContext& ctx) {
-  if (ctx.store != nullptr) ctx.store->clear();
-  graph.run(artifacts, ctx);
-}
-
 core::OptimizationReport run_optimize(const workloads::Program& program,
                                       const sim::MachineConfig& machine,
                                       const core::OptimizerOptions& options,
@@ -352,7 +348,7 @@ core::OptimizationReport run_optimize(const workloads::Program& program,
   a.machine = &machine;
   a.options = options;
   a.report.benchmark = program.name;
-  run_graph(optimize_graph(), a, ctx);
+  optimize_graph().run(a, ctx);
   return std::move(a.report);
 }
 
@@ -367,7 +363,7 @@ core::OptimizationReport run_optimize_with_profile(
   a.profile_bound = true;
   a.report.profile = std::move(profile);
   a.report.benchmark = program.name;
-  run_graph(optimize_graph(), a, ctx);
+  optimize_graph().run(a, ctx);
   return std::move(a.report);
 }
 
@@ -379,7 +375,7 @@ core::OptimizationReport run_stride_centric(
   a.machine = &machine;
   a.options = options;
   a.report.benchmark = program.name;
-  run_graph(stride_centric_graph(), a, ctx);
+  stride_centric_graph().run(a, ctx);
   return std::move(a.report);
 }
 
@@ -420,13 +416,42 @@ std::string serialize_report(const core::OptimizationReport& report) {
   return out;
 }
 
+std::string describe_knobs(const core::OptimizerOptions& options) {
+  std::string out;
+  char buf[128];
+  const auto line = [&out, &buf](const char* format, auto... args) {
+    std::snprintf(buf, sizeof buf, format, args...);
+    out += buf;
+  };
+  line("sample_period=%llu\n",
+       static_cast<unsigned long long>(options.sampler.sample_period));
+  line("sample_seed=%llu\n",
+       static_cast<unsigned long long>(options.sampler.seed));
+  line("profile_max_refs=%llu\n",
+       static_cast<unsigned long long>(options.profile_max_refs));
+  line("enable_non_temporal=%d\n", options.enable_non_temporal ? 1 : 0);
+  line("assumed_cycles_per_memop=%g\n", options.assumed_cycles_per_memop);
+  line("measured_cycles_per_memop=%g\n", options.measured_cycles_per_memop);
+  // The co-run solve sets MDDLI's and the bypass pass's LLC share together.
+  line("llc_effective_bytes=%llu\n",
+       static_cast<unsigned long long>(options.mddli.llc_effective_bytes));
+  line("mddli.alpha=%g\n", options.mddli.alpha);
+  line("stride.min_samples=%llu\n",
+       static_cast<unsigned long long>(options.stride.min_samples));
+  line("stride.dominance_threshold=%g\n", options.stride.dominance_threshold);
+  line("bypass.drop_threshold=%g\n", options.bypass.drop_threshold);
+  line("bypass.min_edge_weight=%g\n", options.bypass.min_edge_weight);
+  return out;
+}
+
 }  // namespace re::engine
 
 // ---- thin core:: wrappers -------------------------------------------------
 //
 // The historical entry points keep their exact signatures and semantics;
-// they are now one-line stage-graph configurations (DESIGN.md §11 maps each
-// old entry point to its graph).
+// they are stage-graph configurations (DESIGN.md §11 maps each entry point
+// to its graph). phase_aware_optimize runs optimize_graph once per phase
+// and merges the plans.
 
 namespace re::core {
 
@@ -448,6 +473,59 @@ OptimizationReport stride_centric_optimize(const workloads::Program& program,
                                            const sim::MachineConfig& machine,
                                            const OptimizerOptions& options) {
   return engine::run_stride_centric(program, machine, options);
+}
+
+PhasedOptimizationReport phase_aware_optimize(
+    const workloads::Program& program, const sim::MachineConfig& machine,
+    const OptimizerOptions& options, const PhaseOptions& phase_options) {
+  PhasedOptimizationReport out;
+  out.phases = profile_with_phases(program, options.sampler, phase_options,
+                                   options.profile_max_refs);
+  out.merged.benchmark = program.name;
+  out.merged.profile = out.phases.full;
+  // Δ belongs to the whole run: resolve it once and let every phase's solve
+  // take it as assumed.
+  out.merged.cycles_per_memop =
+      engine::resolve_delta(
+          options.assumed_cycles_per_memop, options.measured_cycles_per_memop,
+          [&] { return measure_cycles_per_memop(program, machine); })
+          .cycles_per_memop;
+  OptimizerOptions phase_solve = options;
+  phase_solve.assumed_cycles_per_memop = out.merged.cycles_per_memop;
+
+  // For every load, keep the plan from the phase where it causes the most
+  // misses; the bypass decision must hold in *every* phase that prefetches
+  // the load (a single temporal phase forbids NT).
+  std::map<Pc, std::pair<double, PrefetchPlan>> best_plans;
+  std::map<Pc, bool> bypass_ok;
+  out.per_phase_plans.resize(static_cast<std::size_t>(out.phases.num_phases));
+  for (int phase = 0; phase < out.phases.num_phases; ++phase) {
+    const OptimizationReport report = engine::run_optimize_with_profile(
+        program, out.phases.phase_profile(phase), machine, phase_solve);
+    for (const PrefetchPlan& plan : report.plans) {
+      const double misses =
+          std::find_if(report.delinquent_loads.begin(),
+                       report.delinquent_loads.end(),
+                       [&plan](const DelinquentLoad& load) {
+                         return load.pc == plan.pc;
+                       })
+              ->estimated_l1_misses;
+      const bool bypass = plan.hint == workloads::PrefetchHint::NTA;
+      auto [bit, inserted] = bypass_ok.try_emplace(plan.pc, bypass);
+      if (!inserted) bit->second = bit->second && bypass;
+      auto [pit, fresh] = best_plans.try_emplace(plan.pc, misses, plan);
+      if (!fresh && misses > pit->second.first) pit->second = {misses, plan};
+    }
+    out.per_phase_plans[static_cast<std::size_t>(phase)] = report.plans;
+  }
+
+  for (auto& [pc, scored] : best_plans) {
+    PrefetchPlan plan = scored.second;
+    if (!bypass_ok[pc]) plan.hint = workloads::PrefetchHint::T0;
+    out.merged.plans.push_back(plan);
+  }
+  out.merged.optimized = insert_prefetches(program, out.merged.plans);
+  return out;
 }
 
 }  // namespace re::core

@@ -1,10 +1,18 @@
 // The shared analysis engine: the paper's dataflow as a stage graph.
 //
-// Every analysis consumer in the repo — core::optimize_program /
-// optimize_with_profile, the stride-centric baseline, the adaptive
-// controller's per-window refinement, differential verification's
-// estimator side, and the experiment drivers — runs one of the graph
-// configurations below instead of a hand-rolled call chain. The stages:
+// Every analysis consumer in the repo runs one of the graph configurations
+// below instead of a hand-rolled call chain:
+//
+//   * core::optimize_program / optimize_with_profile and the stride-centric
+//     baseline (one-line wrappers at the end of pipeline.cc);
+//   * core::phase_aware_optimize (optimize_graph once per phase profile,
+//     defined in pipeline.cc);
+//   * the adaptive controller's per-window refinement;
+//   * the co-run pipeline's per-core plan solve (analysis/corun);
+//   * differential verification's estimator side;
+//   * the experiment drivers, the advisory service's solver and repf.
+//
+// The stages:
 //
 //   sample    — integrated reuse/stride sampling pass over the program
 //   validate  — profile sanitation (skip-not-guess; PR 1's gates)
@@ -79,10 +87,6 @@ const StageGraph<OptimizeArtifacts>& stride_centric_graph();
 /// a bound profile (the exact-LRU side judges the same artifacts).
 const StageGraph<OptimizeArtifacts>& estimator_graph();
 
-/// Run `graph` over a fully bound artifact set.
-void run_graph(const StageGraph<OptimizeArtifacts>& graph,
-               OptimizeArtifacts& artifacts, const EngineContext& ctx);
-
 // -- convenience entry points (what the thin core:: wrappers call) --------
 
 core::OptimizationReport run_optimize(const workloads::Program& program,
@@ -103,5 +107,9 @@ core::OptimizationReport run_stride_centric(
 /// for the engine's determinism contract (property tests compare these
 /// byte-for-byte across worker counts).
 std::string serialize_report(const core::OptimizationReport& report);
+
+/// One "knob=value" per line — the audit trail `repf optimize --verbose`
+/// prints so a run's effective configuration is reviewable.
+std::string describe_knobs(const core::OptimizerOptions& options);
 
 }  // namespace re::engine

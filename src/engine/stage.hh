@@ -22,16 +22,14 @@
 #include <vector>
 
 #include "engine/executor.hh"
-#include "engine/store.hh"
 
 namespace re::engine {
 
-/// Shared execution resources threaded through every stage. All members
-/// are optional: null executor = serial, null store = fresh allocations,
-/// null cancel = the solve runs to completion.
+/// Shared execution resources threaded through every stage. Both members
+/// are optional: null executor = serial, null cancel = the solve runs to
+/// completion.
 struct EngineContext {
   const Executor* executor = nullptr;
-  ArtifactStore* store = nullptr;
   /// Cooperative cancellation: checked before every stage and before every
   /// fanned-out unit; an armed token unwinds the solve with Cancelled.
   const CancelToken* cancel = nullptr;

@@ -136,7 +136,7 @@ void AdaptiveController::reoptimize(int phase) {
   // assumed Δ still outranks it (engine/delta.hh precedence), and with
   // neither set the engine falls back to the baseline simulation.
   options.measured_cycles_per_memop = delta_ewma_.value();
-  const engine::EngineContext ctx{opts_.executor, &store_};
+  const engine::EngineContext ctx{opts_.executor};
   const core::OptimizationReport report = engine::run_optimize_with_profile(
       *program_, phase_profiles_[phase], machine_, options, ctx);
 

@@ -39,7 +39,6 @@
 #include "core/fault_injection.hh"
 #include "core/pipeline.hh"
 #include "engine/delta.hh"
-#include "engine/store.hh"
 #include "runtime/governor.hh"
 #include "runtime/online_sampler.hh"
 #include "runtime/phase_detector.hh"
@@ -172,10 +171,6 @@ class AdaptiveController final : public sim::CoreAgent {
   int last_raw_phase_ = -1;   // raw phase of the previous window
   GovernorMode applied_mode_ = GovernorMode::Normal;
   engine::DeltaEwma delta_ewma_;  // measured cycles/memop (online Δ)
-  /// Engine scratch reused across the per-window re-optimizations: hot PCs
-  /// keep their interned index and grouping buffers keep their capacity,
-  /// so steady-state windows allocate nothing in the StatStack solve.
-  engine::ArtifactStore store_;
 
   // Refinement bookkeeping for the active plans: the Δ and profile size
   // they were computed with (0 = unknown, e.g. hot-swapped from the cache;

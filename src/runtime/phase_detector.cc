@@ -11,21 +11,10 @@ PhaseDecision PhaseDetector::observe(const core::PhaseSignature& signature) {
   ++windows_;
   PhaseDecision decision;
 
-  // Nearest centroid under the similarity threshold; none -> new phase.
-  int best = -1;
-  double best_distance = opts_.similarity_threshold;
-  for (std::size_t i = 0; i < centroids_.size(); ++i) {
-    const double d = core::signature_distance(signature, centroids_[i]);
-    if (d < best_distance) {
-      best_distance = d;
-      best = static_cast<int>(i);
-    }
-  }
-  if (best < 0) {
-    best = static_cast<int>(centroids_.size());
-    centroids_.push_back(signature);
-    decision.novel = true;
-  }
+  const std::size_t known = centroids_.size();
+  const int best = core::assign_phase(signature, centroids_,
+                                      opts_.similarity_threshold);
+  decision.novel = centroids_.size() > known;
   decision.raw_phase = best;
 
   if (current_ < 0) {

@@ -6,6 +6,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <tuple>
 #include <unordered_set>
 #include <utility>
 
@@ -62,6 +63,72 @@ bool plans_equal(const std::vector<core::PrefetchPlan>& a,
     }
   }
   return true;
+}
+
+/// One core's share of the response audit.
+struct CoreAudit {
+  CoreMetrics metrics;  // admitted, degraded and quota_shed
+  std::vector<std::uint64_t> latencies;  // admitted latencies, ticks
+};
+
+/// The audit both simulations run over their responses in collection
+/// order: fills `run`'s digest and gates (`run.stats` must be set) and
+/// returns the per-core tallies, indexed by core id.
+std::vector<CoreAudit> audit_responses(
+    const std::vector<PlanResponse>& responses, std::size_t queue_capacity,
+    ResponseAudit& run) {
+  std::vector<CoreAudit> per_core;
+  std::unordered_map<int, std::vector<core::PrefetchPlan>> last_good;
+  for (const PlanResponse& response : responses) {
+    run.digest = chain_crc(run.digest, render_response(response));
+    if (response.deadline_missed && !response.degraded()) {
+      run.no_stale_fresh = false;
+    }
+    const std::size_t core = static_cast<std::size_t>(response.core);
+    if (core >= per_core.size()) per_core.resize(core + 1);
+    CoreAudit& tally = per_core[core];
+    if (response.cause == DegradeCause::QuotaExceeded) {
+      ++tally.metrics.quota_shed;
+    }
+    switch (response.kind) {
+      case AnswerKind::Fresh:
+      case AnswerKind::CacheHit:
+        ++tally.metrics.admitted;
+        tally.latencies.push_back(response.latency_ticks);
+        last_good[response.core] = response.plans;
+        break;
+      case AnswerKind::LastKnownGood:
+        ++tally.metrics.degraded;
+        // A LKG answer must be exactly this core's previous good answer.
+        if (response.cause == DegradeCause::None ||
+            last_good.find(response.core) == last_good.end() ||
+            !plans_equal(response.plans, last_good[response.core])) {
+          run.degraded_safe = false;
+        }
+        break;
+      case AnswerKind::NoPrefetch:
+        ++tally.metrics.degraded;
+        // No-prefetch is the empty (guaranteed-safe) plan set, by definition.
+        if (response.cause == DegradeCause::None || !response.plans.empty()) {
+          run.degraded_safe = false;
+        }
+        break;
+    }
+  }
+  run.queue_bounded = run.stats.max_queue_depth <= queue_capacity;
+  if (run.stats.stale_fresh_violations > 0) run.no_stale_fresh = false;
+  return per_core;
+}
+
+/// p50 and p99 of a latency sample: the sorted sample's entries at n/2 and
+/// min(n-1, n*99/100). Both are 0 for an empty sample.
+std::pair<double, double> latency_percentiles(
+    std::vector<std::uint64_t> sample) {
+  if (sample.empty()) return {0.0, 0.0};
+  std::sort(sample.begin(), sample.end());
+  const std::size_t n = sample.size();
+  return {static_cast<double>(sample[n / 2]),
+          static_cast<double>(sample[std::min(n - 1, n * 99 / 100)])};
 }
 
 }  // namespace
@@ -182,49 +249,15 @@ ServeRunResult run_serve_sim(const TrafficConfig& traffic,
   result.acked = service.acked_fingerprints();
 
   std::vector<std::uint64_t> admitted_latency;
-  std::unordered_map<int, std::vector<core::PrefetchPlan>> last_good;
   std::uint64_t degraded = 0;
-  for (const PlanResponse& response : responses) {
-    result.digest = chain_crc(result.digest, render_response(response));
-    if (response.deadline_missed && !response.degraded()) {
-      result.no_stale_fresh = false;
-    }
-    switch (response.kind) {
-      case AnswerKind::Fresh:
-      case AnswerKind::CacheHit:
-        admitted_latency.push_back(response.latency_ticks);
-        last_good[response.core] = response.plans;
-        break;
-      case AnswerKind::LastKnownGood:
-        ++degraded;
-        // A LKG answer must be exactly this core's previous good answer.
-        if (response.cause == DegradeCause::None ||
-            last_good.find(response.core) == last_good.end() ||
-            !plans_equal(response.plans, last_good[response.core])) {
-          result.degraded_safe = false;
-        }
-        break;
-      case AnswerKind::NoPrefetch:
-        ++degraded;
-        // No-prefetch is the empty (guaranteed-safe) plan set, by definition.
-        if (response.cause == DegradeCause::None || !response.plans.empty()) {
-          result.degraded_safe = false;
-        }
-        break;
-    }
+  for (const CoreAudit& tally :
+       audit_responses(responses, options.queue_capacity, result)) {
+    admitted_latency.insert(admitted_latency.end(), tally.latencies.begin(),
+                            tally.latencies.end());
+    degraded += tally.metrics.degraded;
   }
-
-  result.queue_bounded =
-      result.stats.max_queue_depth <= options.queue_capacity;
-  if (result.stats.stale_fresh_violations > 0) result.no_stale_fresh = false;
-
-  if (!admitted_latency.empty()) {
-    std::sort(admitted_latency.begin(), admitted_latency.end());
-    const std::size_t n = admitted_latency.size();
-    result.p50_admitted = static_cast<double>(admitted_latency[n / 2]);
-    result.p99_admitted =
-        static_cast<double>(admitted_latency[std::min(n - 1, n * 99 / 100)]);
-  }
+  std::tie(result.p50_admitted, result.p99_admitted) =
+      latency_percentiles(std::move(admitted_latency));
   const double submitted =
       std::max<double>(static_cast<double>(result.stats.submitted), 1.0);
   result.shed_rate =
@@ -366,60 +399,20 @@ FairnessRunResult run_fairness_sim(const FairnessTraffic& traffic,
 
   result.stats = service.stats();
   result.responses = responses.size();
-  result.per_core.resize(static_cast<std::size_t>(total_cores));
-  std::vector<std::vector<std::uint64_t>> latencies(
-      static_cast<std::size_t>(total_cores));
-  std::unordered_map<int, std::vector<core::PrefetchPlan>> last_good;
-  for (const PlanResponse& response : responses) {
-    result.digest = chain_crc(result.digest, render_response(response));
-    if (response.deadline_missed && !response.degraded()) {
-      result.no_stale_fresh = false;
-    }
-    const std::size_t core = static_cast<std::size_t>(response.core);
+  std::vector<CoreAudit> audit =
+      audit_responses(responses, options.queue_capacity, result);
+  audit.resize(static_cast<std::size_t>(total_cores));
+  result.per_core.resize(audit.size());
+  for (std::size_t core = 0; core < audit.size(); ++core) {
     CoreMetrics& metrics = result.per_core[core];
-    if (response.cause == DegradeCause::QuotaExceeded) ++metrics.quota_shed;
-    switch (response.kind) {
-      case AnswerKind::Fresh:
-      case AnswerKind::CacheHit:
-        ++metrics.admitted;
-        latencies[core].push_back(response.latency_ticks);
-        last_good[response.core] = response.plans;
-        break;
-      case AnswerKind::LastKnownGood:
-        ++metrics.degraded;
-        if (response.cause == DegradeCause::None ||
-            last_good.find(response.core) == last_good.end() ||
-            !plans_equal(response.plans, last_good[response.core])) {
-          result.degraded_safe = false;
-        }
-        break;
-      case AnswerKind::NoPrefetch:
-        ++metrics.degraded;
-        if (response.cause == DegradeCause::None || !response.plans.empty()) {
-          result.degraded_safe = false;
-        }
-        break;
-    }
-  }
-  for (int core = 0; core < total_cores; ++core) {
-    CoreMetrics& metrics = result.per_core[static_cast<std::size_t>(core)];
-    metrics.submitted = submitted_per_core[static_cast<std::size_t>(core)];
-    std::vector<std::uint64_t>& lat =
-        latencies[static_cast<std::size_t>(core)];
-    if (!lat.empty()) {
-      std::sort(lat.begin(), lat.end());
-      const std::size_t n = lat.size();
-      metrics.p50 = static_cast<double>(lat[n / 2]);
-      metrics.p99 =
-          static_cast<double>(lat[std::min(n - 1, n * 99 / 100)]);
-    }
+    metrics = audit[core].metrics;
+    metrics.submitted = submitted_per_core[core];
+    std::tie(metrics.p50, metrics.p99) =
+        latency_percentiles(std::move(audit[core].latencies));
     metrics.degraded_rate =
         static_cast<double>(metrics.degraded) /
         std::max<double>(static_cast<double>(metrics.submitted), 1.0);
   }
-  result.queue_bounded =
-      result.stats.max_queue_depth <= options.queue_capacity;
-  if (result.stats.stale_fresh_violations > 0) result.no_stale_fresh = false;
   return result;
 }
 

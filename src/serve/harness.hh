@@ -73,10 +73,27 @@ struct TrafficConfig {
   std::uint64_t seed = 0xC0FFEE;
 };
 
-struct ServeRunResult {
+/// What both simulations establish about the responses they collected:
+/// one audit (harness.cc) fills the digest and the robustness gates.
+struct ResponseAudit {
   ServiceStats stats;
   std::uint64_t responses = 0;
   std::uint64_t final_tick = 0;
+  /// Chained CRC-32 over the canonical rendering of every response in
+  /// collection order — byte-equality witness across --jobs and runs.
+  std::uint64_t digest = 0;
+  /// Overload/robustness gates (see DESIGN §12).
+  bool queue_bounded = true;   // solve queue never exceeded its cap
+  bool no_stale_fresh = true;  // every deadline-missed answer was degraded
+  bool degraded_safe = true;   // degraded answers were exactly LKG/no-prefetch
+
+  bool gates_ok() const {
+    return queue_bounded && no_stale_fresh && degraded_safe &&
+           stats.stale_fresh_violations == 0;
+  }
+};
+
+struct ServeRunResult : ResponseAudit {
   int shards_open = 0;  // breakers terminally open at end of run
   /// Latency percentiles (ticks) over admitted answers (Fresh + CacheHit).
   double p50_admitted = 0.0;
@@ -85,21 +102,9 @@ struct ServeRunResult {
   double deadline_miss_rate = 0.0;
   double hit_rate = 0.0;
   double degraded_rate = 0.0;
-  /// Chained CRC-32 over the canonical rendering of every response in
-  /// emission order — byte-equality witness across --jobs and runs.
-  std::uint64_t digest = 0;
-  /// Overload/robustness gates (see ISSUE/DESIGN §12).
-  bool queue_bounded = true;   // solve queue never exceeded its cap
-  bool no_stale_fresh = true;  // every deadline-missed answer was degraded
-  bool degraded_safe = true;   // degraded answers were exactly LKG/no-prefetch
   /// Fingerprints acked to the journal during the run (ground truth for
   /// the crash check; empty when journaling was off).
   std::vector<std::uint64_t> acked;
-
-  bool gates_ok() const {
-    return queue_bounded && no_stale_fresh && degraded_safe &&
-           stats.stale_fresh_violations == 0;
-  }
 };
 
 /// Run the full virtual-time simulation: seeded arrivals, one step per
@@ -180,23 +185,9 @@ struct CoreMetrics {
   double degraded_rate = 0.0;  // degraded / max(submitted collected, 1)
 };
 
-struct FairnessRunResult {
-  ServiceStats stats;
+struct FairnessRunResult : ResponseAudit {
   /// Indexed by core id (adversaries included, after the well-behaved).
   std::vector<CoreMetrics> per_core;
-  std::uint64_t responses = 0;
-  std::uint64_t final_tick = 0;
-  /// Chained CRC over every collected response in collection order — the
-  /// byte-determinism witness across --jobs and replays.
-  std::uint64_t digest = 0;
-  bool queue_bounded = true;
-  bool no_stale_fresh = true;
-  bool degraded_safe = true;
-
-  bool gates_ok() const {
-    return queue_bounded && no_stale_fresh && degraded_safe &&
-           stats.stale_fresh_violations == 0;
-  }
 };
 
 /// Run the mixed-population virtual-time simulation. With outbox mode on,

@@ -276,5 +276,43 @@ TEST(CoRunGraph, EffectiveShareFlowsIntoPlanKnobs) {
             2 * llc);
 }
 
+TEST(CoRunGraph, PerCoreSolvePricesTheLlcAtTheEffectiveShare) {
+  // Both LLC consumers of the per-core solve — MDDLI's miss ratios and the
+  // bypass verdict — run at the composed share, not the machine's LLC.
+  std::vector<workloads::Program> programs;
+  programs.push_back(corun_program(0, verify::TraceFamily::kPointerChase));
+  programs.push_back(corun_program(1, verify::TraceFamily::kStrided));
+
+  CoRunArtifacts artifacts;
+  artifacts.programs = &programs;
+  const sim::MachineConfig machine = sim::amd_phenom_ii();
+  artifacts.machine = &machine;
+  artifacts.max_refs_per_core = 1 << 13;
+  run_corun(artifacts);
+
+  std::size_t loads = 0;
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    const core::OptimizationReport& report = artifacts.reports[i];
+    const std::uint64_t share_bytes =
+        artifacts.effective_llc_lines[i] * kLineSize;
+    const core::StatStack model(report.profile);
+    for (const core::DelinquentLoad& load : report.delinquent_loads) {
+      EXPECT_DOUBLE_EQ(load.llc_miss_ratio,
+                       model.pc_mrc(load.pc).miss_ratio_bytes(share_bytes))
+          << "core " << i << " pc " << load.pc;
+      ++loads;
+    }
+    const core::ReuseGraph graph(report.profile);
+    core::BypassOptions bypass;
+    bypass.llc_effective_bytes = share_bytes;
+    for (const core::PrefetchPlan& plan : report.plans) {
+      EXPECT_EQ(plan.hint == workloads::PrefetchHint::NTA,
+                core::should_bypass(plan.pc, graph, model, machine, bypass))
+          << "core " << i << " pc " << plan.pc;
+    }
+  }
+  EXPECT_GT(loads, 0u);
+}
+
 }  // namespace
 }  // namespace re::analysis

@@ -122,6 +122,20 @@ TEST(Phases, SignatureDistanceIsAManhattanMetric) {
   EXPECT_DOUBLE_EQ(signature_distance(a, PhaseSignature{}), 1.0);
 }
 
+TEST(Phases, AssignPhaseTakesTheNearestCentroidStrictlyUnderThreshold) {
+  std::vector<PhaseSignature> centroids{
+      {{1, 1.0}}, {{1, 0.5}, {2, 0.5}}, {{1, 0.5}, {3, 0.5}}};
+  // Distance 0.5 to centroids 0 and 1, 1.0 to centroid 2.
+  const PhaseSignature between{{1, 0.75}, {2, 0.25}};
+  EXPECT_EQ(assign_phase(between, centroids, 0.6), 0);  // first minimum wins
+  EXPECT_EQ(assign_phase(centroids[2], centroids, 0.6), 2);
+  ASSERT_EQ(centroids.size(), 3u);
+  // A distance equal to the threshold does not match: a new phase is born.
+  EXPECT_EQ(assign_phase(between, centroids, 0.5), 3);
+  ASSERT_EQ(centroids.size(), 4u);
+  EXPECT_DOUBLE_EQ(signature_distance(centroids[3], between), 0.0);
+}
+
 TEST(Phases, NormalizeSignatureDividesByTotal) {
   const std::unordered_map<Pc, std::uint64_t> counts{{1, 30}, {2, 10}};
   const PhaseSignature sig = normalize_signature(counts, 40);
@@ -201,6 +215,58 @@ TEST(Phases, PhaseProfilePartitionsPositionedSamples) {
   EXPECT_EQ(p1.stride_samples[0].pc, 2u);
 }
 
+TEST(Phases, PhaseProfilePositionsArePhaseLocal) {
+  PhasedProfile phased;
+  phased.segments = {PhaseSegment{0, 0, 500}, PhaseSegment{1, 500, 1000},
+                     PhaseSegment{0, 1000, 1500}};
+  phased.num_phases = 2;
+  phased.full.total_references = 1500;
+  phased.full.sample_period = 100;
+  // The last reuse and stride samples span more than phase 1's 500
+  // references.
+  phased.full.reuse_samples = {ReuseSample{1, 1, 10, 1200},
+                               ReuseSample{2, 2, 10, 600},
+                               ReuseSample{3, 3, 600, 700}};
+  phased.full.stride_samples = {StrideSample{1, 64, 5, 1500},
+                                StrideSample{3, 64, 600, 700}};
+
+  const Profile p0 = phased.phase_profile(0);
+  EXPECT_EQ(p0.total_references, 1000u);
+  ASSERT_EQ(p0.reuse_samples.size(), 1u);
+  EXPECT_EQ(p0.reuse_samples[0].at_ref, 700u);  // 500 + (1200 - 1000)
+  ASSERT_EQ(p0.stride_samples.size(), 1u);
+  EXPECT_EQ(p0.stride_samples[0].at_ref, 1000u);  // the run's last position
+
+  const Profile p1 = phased.phase_profile(1);
+  EXPECT_EQ(p1.total_references, 500u);
+  ASSERT_EQ(p1.reuse_samples.size(), 1u);
+  EXPECT_EQ(p1.reuse_samples[0].at_ref, 100u);
+  // A reuse longer than the phase's window dangles in it; a stride sample
+  // that long is dropped.
+  EXPECT_TRUE(p1.stride_samples.empty());
+  EXPECT_EQ(p1.dangling_reuse_samples, 1u);
+  EXPECT_EQ(p1.dangling_by_pc.at(3), 1u);
+}
+
+TEST(Phases, PhaseProfilesPassTheValidator) {
+  // Every phase profile of a real run is internally consistent: the
+  // validator discards no sample as corrupt.
+  const PhasedProfile phased =
+      profile_with_phases(two_phase_program(), SamplerConfig{});
+  ASSERT_GE(phased.num_phases, 2);
+  const ProfileValidator validator;
+  for (int phase = 0; phase < phased.num_phases; ++phase) {
+    DegradationLog log;
+    const Expected<Profile> sanitized =
+        validator.sanitize(phased.phase_profile(phase), &log);
+    EXPECT_TRUE(sanitized.has_value()) << "phase " << phase;
+    EXPECT_EQ(log.count(DegradationReason::kCorruptReuseSample), 0u)
+        << "phase " << phase << ": " << log.to_string();
+    EXPECT_EQ(log.count(DegradationReason::kCorruptStrideSample), 0u)
+        << "phase " << phase << ": " << log.to_string();
+  }
+}
+
 TEST(Phases, DegenerateSinglePhaseProfileCoversEverything) {
   // A single-loop program: one phase, one segment, and the phase profile
   // must be the full profile (no samples lost to partitioning).
@@ -264,6 +330,40 @@ TEST(PhaseAwareOptimize, MatchesGlobalPipelineOnSinglePhasePrograms) {
     EXPECT_TRUE(std::any_of(
         phased.merged.plans.begin(), phased.merged.plans.end(),
         [&](const PrefetchPlan& p) { return p.pc == pc; }));
+  }
+}
+
+TEST(PhaseAwareOptimize, AssumedDeltaIsTheMergedDelta) {
+  const auto machine = sim::amd_phenom_ii();
+  OptimizerOptions options;
+  options.assumed_cycles_per_memop = 3.25;
+  const PhasedOptimizationReport report =
+      phase_aware_optimize(two_phase_program(), machine, options);
+  EXPECT_DOUBLE_EQ(report.merged.cycles_per_memop, 3.25);
+}
+
+TEST(PhaseAwareOptimize, PerPhasePlansAreTheEngineSolveOfEachPhase) {
+  // Each phase runs the one analysis chain (optimize_with_profile) over its
+  // phase profile, with the run's Δ assumed.
+  const auto machine = sim::amd_phenom_ii();
+  const Program program = two_phase_program();
+  const PhasedOptimizationReport report =
+      phase_aware_optimize(program, machine);
+  OptimizerOptions options;
+  options.assumed_cycles_per_memop = report.merged.cycles_per_memop;
+  ASSERT_EQ(report.per_phase_plans.size(),
+            static_cast<std::size_t>(report.phases.num_phases));
+  for (int phase = 0; phase < report.phases.num_phases; ++phase) {
+    const OptimizationReport solve = optimize_with_profile(
+        program, report.phases.phase_profile(phase), machine, options);
+    const auto& plans =
+        report.per_phase_plans[static_cast<std::size_t>(phase)];
+    ASSERT_EQ(plans.size(), solve.plans.size()) << "phase " << phase;
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      EXPECT_EQ(plans[i].pc, solve.plans[i].pc);
+      EXPECT_EQ(plans[i].distance_bytes, solve.plans[i].distance_bytes);
+      EXPECT_EQ(plans[i].hint, solve.plans[i].hint);
+    }
   }
 }
 

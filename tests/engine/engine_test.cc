@@ -1,8 +1,8 @@
 // Analysis-engine tests: the determinism property (any stage graph yields
 // byte-identical reports at any worker count), Δ precedence, the knob
-// builder, artifact-store reuse, and thread-safety stress for the shared
-// plan cache and concurrent windowed solves (run under RE_SANITIZE=thread
-// by the tsan lane in tools/check.sh).
+// audit, and thread-safety stress for the shared plan cache and concurrent
+// windowed solves (run under RE_SANITIZE=thread by the tsan lane in
+// tools/check.sh).
 #include "engine/pipeline.hh"
 
 #include <gtest/gtest.h>
@@ -15,8 +15,6 @@
 #include "core/pipeline.hh"
 #include "engine/delta.hh"
 #include "engine/executor.hh"
-#include "engine/options.hh"
-#include "engine/store.hh"
 #include "testutil.hh"
 #include "workloads/suite.hh"
 
@@ -30,8 +28,7 @@ std::string all_graphs_fingerprint(const workloads::Program& program,
                                    const sim::MachineConfig& machine,
                                    int jobs) {
   const Executor executor(jobs);
-  ArtifactStore store;
-  const EngineContext ctx{&executor, &store};
+  const EngineContext ctx{&executor};
 
   std::string out;
   out += serialize_report(run_optimize(program, machine, {}, ctx));
@@ -59,35 +56,31 @@ TEST(EngineDeterminism, ByteIdenticalReportsAtAnyWorkerCount) {
 }
 
 TEST(EngineDeterminism, ContextlessRunMatchesSerialExecutor) {
-  // The default EngineContext (no executor, no store) is the same code path
-  // as a one-worker executor with a fresh store.
+  // The default EngineContext (no executor) is the same code path as a
+  // one-worker executor.
   const workloads::Program program = workloads::make_benchmark("libquantum");
   const sim::MachineConfig machine = sim::amd_phenom_ii();
   const std::string contextless =
       serialize_report(run_optimize(program, machine, {}));
-  EXPECT_EQ(contextless,
-            serialize_report(run_optimize(program, machine, {},
-                                          EngineContext{nullptr, nullptr})));
+  EXPECT_EQ(contextless, serialize_report(run_optimize(
+                             program, machine, {}, EngineContext{nullptr})));
   const Executor executor(1);
-  ArtifactStore store;
-  EXPECT_EQ(contextless,
-            serialize_report(run_optimize(program, machine, {},
-                                          EngineContext{&executor, &store})));
+  EXPECT_EQ(contextless, serialize_report(run_optimize(
+                             program, machine, {}, EngineContext{&executor})));
 }
 
-TEST(EngineDeterminism, ArtifactStoreReuseAcrossRunsIsInvisible) {
-  // A store warmed by other programs (stale interned PCs, grown buffers) must
-  // never change results — only allocation behavior.
+TEST(EngineDeterminism, SharedExecutorAcrossRunsIsInvisible) {
+  // One executor serving solve after solve, across programs and in any
+  // order, never changes a result.
   const sim::MachineConfig machine = sim::amd_phenom_ii();
   const Executor executor(2);
-  ArtifactStore warm;
-  const EngineContext ctx{&executor, &warm};
+  const EngineContext ctx{&executor};
   std::vector<std::string> first_pass;
   for (const std::string& name : workloads::suite_names()) {
     first_pass.push_back(serialize_report(
         run_optimize(workloads::make_benchmark(name), machine, {}, ctx)));
   }
-  // Second pass through the now-warm store, in reverse order.
+  // Second pass through the same executor, in reverse order.
   for (std::size_t i = workloads::suite_names().size(); i-- > 0;) {
     const std::string& name = workloads::suite_names()[i];
     EXPECT_EQ(serialize_report(run_optimize(workloads::make_benchmark(name),
@@ -149,61 +142,10 @@ TEST(Delta, EwmaIgnoresEmptyWindowsAndTracksChanges) {
   EXPECT_DOUBLE_EQ(ewma.value(), 0.7 * 4.0 + 0.3 * 8.0);
 }
 
-// -- knob plumbing ---------------------------------------------------------
-
-TEST(Knobs, DefaultsMatchTheStructsTheyBuild) {
-  const AnalysisKnobs knobs;
-  const core::SamplerConfig sampler = make_sampler_config(knobs);
-  const core::SamplerConfig sampler_defaults{};
-  EXPECT_EQ(sampler.sample_period, sampler_defaults.sample_period);
-  EXPECT_EQ(sampler.seed, sampler_defaults.seed);
-
-  const core::OptimizerOptions options = make_optimizer_options(knobs);
-  const core::OptimizerOptions defaults;
-  EXPECT_EQ(options.enable_non_temporal, defaults.enable_non_temporal);
-  EXPECT_EQ(options.profile_max_refs, defaults.profile_max_refs);
-  EXPECT_DOUBLE_EQ(options.assumed_cycles_per_memop,
-                   defaults.assumed_cycles_per_memop);
-  EXPECT_DOUBLE_EQ(options.measured_cycles_per_memop,
-                   defaults.measured_cycles_per_memop);
-}
-
-TEST(Knobs, BuilderCarriesEveryKnob) {
-  AnalysisKnobs knobs;
-  knobs.sample_period = 123;
-  knobs.sample_seed = 77;
-  knobs.profile_max_refs = 5000;
-  knobs.enable_non_temporal = false;
-  knobs.assumed_cycles_per_memop = 2.5;
-  knobs.measured_cycles_per_memop = 3.5;
-
-  const core::SamplerConfig sampler = make_sampler_config(knobs);
-  EXPECT_EQ(sampler.sample_period, 123u);
-  EXPECT_EQ(sampler.seed, 77u);
-
-  const core::OptimizerOptions options = make_optimizer_options(knobs);
-  EXPECT_EQ(options.profile_max_refs, 5000u);
-  EXPECT_FALSE(options.enable_non_temporal);
-  EXPECT_DOUBLE_EQ(options.assumed_cycles_per_memop, 2.5);
-  EXPECT_DOUBLE_EQ(options.measured_cycles_per_memop, 3.5);
-}
-
-TEST(Knobs, EffectiveLlcFansIntoMddliAndBypass) {
-  AnalysisKnobs knobs;
-  knobs.llc_effective_bytes = 256 << 10;
-  const core::OptimizerOptions options = make_optimizer_options(knobs);
-  EXPECT_EQ(options.mddli.llc_effective_bytes, 256u << 10);
-  EXPECT_EQ(options.bypass.llc_effective_bytes, 256u << 10);
-
-  // Zero (the default) preserves the single-core assumption: both passes
-  // fall back to the machine's full LLC.
-  const core::OptimizerOptions defaults = make_optimizer_options({});
-  EXPECT_EQ(defaults.mddli.llc_effective_bytes, 0u);
-  EXPECT_EQ(defaults.bypass.llc_effective_bytes, 0u);
-}
+// -- knob audit ------------------------------------------------------------
 
 TEST(Knobs, DescribeListsEveryFieldOnce) {
-  const std::string audit = describe_knobs(AnalysisKnobs{});
+  const std::string audit = describe_knobs(core::OptimizerOptions{});
   for (const char* field :
        {"sample_period", "sample_seed", "profile_max_refs",
         "enable_non_temporal", "assumed_cycles_per_memop",
@@ -215,60 +157,31 @@ TEST(Knobs, DescribeListsEveryFieldOnce) {
   }
 }
 
-// -- artifact store --------------------------------------------------------
-
-TEST(ArtifactStore, InternerIsStableAndClearKeepsIds) {
-  ArtifactStore store;
-  const std::uint32_t a = store.pc_table().intern(100);
-  const std::uint32_t b = store.pc_table().intern(200);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(store.pc_table().intern(100), a);  // idempotent
-  EXPECT_EQ(store.pc_table().index_of(100), a);
-  EXPECT_EQ(store.pc_table().pc_of(a), 100u);
-
-  store.reuse_groups(store.pc_table().size())[a].push_back(7);
-  store.touched_pcs().push_back(a);
-  store.clear();
-  // clear() empties per-solve scratch but keeps interned ids and capacity.
-  EXPECT_TRUE(store.reuse_groups(store.pc_table().size())[a].empty());
-  EXPECT_EQ(store.pc_table().intern(200), b);
-}
-
-TEST(ArtifactStore, BufferCapacitySurvivesClear) {
-  ArtifactStore store;
-  auto& groups = store.reuse_groups(4);
-  ASSERT_EQ(groups.size(), 4u);
-  for (int round = 0; round < 3; ++round) {
-    for (std::size_t id = 0; id < groups.size(); ++id) {
-      store.touched_pcs().push_back(static_cast<std::uint32_t>(id));
-      for (int k = 0; k < 100; ++k) {
-        groups[id].push_back(static_cast<RefCount>(k));
-      }
-    }
-    store.clear();
-    for (const auto& g : store.reuse_groups(4)) {
-      EXPECT_TRUE(g.empty()) << "round " << round;
-      EXPECT_GE(g.capacity(), 100u) << "round " << round;
-    }
+TEST(Knobs, DescribePrintsTheOptionsValues) {
+  core::OptimizerOptions options;
+  options.sampler.sample_period = 123;
+  options.sampler.seed = 77;
+  options.profile_max_refs = 5000;
+  options.enable_non_temporal = false;
+  options.assumed_cycles_per_memop = 2.5;
+  options.measured_cycles_per_memop = 3.5;
+  options.mddli.llc_effective_bytes = 256 << 10;
+  const std::string audit = describe_knobs(options);
+  for (const char* line :
+       {"sample_period=123\n", "sample_seed=77\n", "profile_max_refs=5000\n",
+        "enable_non_temporal=0\n", "assumed_cycles_per_memop=2.5\n",
+        "measured_cycles_per_memop=3.5\n", "llc_effective_bytes=262144\n"}) {
+    EXPECT_NE(audit.find(line), std::string::npos)
+        << "missing line: " << line << audit;
   }
-}
-
-TEST(ArtifactStore, GrowingGroupCountKeepsEarlierBuffers) {
-  ArtifactStore store;
-  store.reuse_groups(2)[1].push_back(RefCount{42});
-  auto& groups = store.reuse_groups(6);
-  ASSERT_EQ(groups.size(), 6u);
-  ASSERT_EQ(groups[1].size(), 1u);
-  EXPECT_EQ(groups[1][0], RefCount{42});
 }
 
 // -- thread-safety stress (TSan lane) --------------------------------------
 
 TEST(EngineStress, ConcurrentWindowedSolvesAreIndependent) {
-  // 64 concurrent windowed solves: 16 threads x 4 solves, each with its own
-  // ArtifactStore (the sharing unit is the store, never the solve). Under
+  // 64 concurrent windowed solves: 16 threads x 4 solves. Under
   // RE_SANITIZE=thread this is the data-race oracle for the whole engine
-  // path (sampling, StatStack buffer reuse, stride fan-out, insertion).
+  // path (sampling, StatStack grouping, stride fan-out, insertion).
   // All threads fan out through one shared executor, so concurrent
   // fan-outs on the same executor run under the same oracle.
   const sim::MachineConfig machine = sim::amd_phenom_ii();
@@ -285,8 +198,7 @@ TEST(EngineStress, ConcurrentWindowedSolvesAreIndependent) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      ArtifactStore store;
-      const EngineContext ctx{&executor, &store};
+      const EngineContext ctx{&executor};
       for (int s = 0; s < kSolvesPerThread; ++s) {
         const std::string got =
             serialize_report(run_optimize(program, machine, {}, ctx));

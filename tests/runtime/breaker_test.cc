@@ -205,7 +205,9 @@ TEST(Breaker, RandomEventSequencesNeverLeaveTheDeclaredMachine) {
       ASSERT_EQ(breaker.open(), shadow_open)
           << "round " << round << " event " << event << " trips "
           << breaker.consecutive_trips();
-      if (opts.max_trips <= 0) ASSERT_FALSE(breaker.open());
+      if (opts.max_trips <= 0) {
+        ASSERT_FALSE(breaker.open());
+      }
 
       // 3. down() is exactly Backoff-or-Open; accessors stay in range.
       ASSERT_EQ(breaker.down(), state == BreakerState::Backoff ||

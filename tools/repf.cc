@@ -28,9 +28,7 @@
 #include "core/phases.hh"
 #include "core/pipeline.hh"
 #include "engine/executor.hh"
-#include "engine/options.hh"
 #include "engine/pipeline.hh"
-#include "engine/store.hh"
 #include "runtime/adaptive_controller.hh"
 #include "runtime/chaos.hh"
 #include "runtime/plan_cache.hh"
@@ -266,12 +264,10 @@ int cmd_dump(const Options& opts, Report& report) {
 
 int cmd_optimize(const Options& opts, Report& report) {
   const workloads::Program program = load_target(opts.target);
-  engine::AnalysisKnobs knobs;
-  knobs.enable_non_temporal = opts.enable_nt;
-  const core::OptimizerOptions options = engine::make_optimizer_options(knobs);
+  core::OptimizerOptions options;
+  options.enable_non_temporal = opts.enable_nt;
   const engine::Executor executor(opts.jobs);
-  engine::ArtifactStore store;
-  const engine::EngineContext ctx{&executor, &store};
+  const engine::EngineContext ctx{&executor};
   const core::OptimizationReport result =
       opts.stride_centric
           ? engine::run_stride_centric(program, opts.machine, options, ctx)
@@ -279,7 +275,7 @@ int cmd_optimize(const Options& opts, Report& report) {
 
   if (opts.verbose) {
     report.print("# effective analysis knobs:\n");
-    std::istringstream lines(engine::describe_knobs(knobs));
+    std::istringstream lines(engine::describe_knobs(options));
     std::string line;
     while (std::getline(lines, line)) {
       report.print("#   %s\n", line.c_str());
@@ -305,13 +301,11 @@ int cmd_optimize(const Options& opts, Report& report) {
 int cmd_run(const Options& opts, Report& report) {
   workloads::Program program = load_target(opts.target);
   if (opts.optimize) {
-    engine::AnalysisKnobs knobs;
-    knobs.enable_non_temporal = opts.enable_nt;
+    core::OptimizerOptions options;
+    options.enable_non_temporal = opts.enable_nt;
     const engine::Executor executor(opts.jobs);
-    engine::ArtifactStore store;
-    program = engine::run_optimize(program, opts.machine,
-                                   engine::make_optimizer_options(knobs),
-                                   engine::EngineContext{&executor, &store})
+    program = engine::run_optimize(program, opts.machine, options,
+                                   engine::EngineContext{&executor})
                   .optimized;
   }
   const sim::RunResult run =
@@ -434,10 +428,9 @@ int cmd_adapt(const Options& opts, Report& report) {
   }
 
   const sim::RunResult base = sim::run_single(opts.machine, program, false);
-  engine::ArtifactStore store;
   const core::OptimizationReport merged =
       engine::run_optimize(program, opts.machine, core::OptimizerOptions{},
-                           engine::EngineContext{&executor, &store});
+                           engine::EngineContext{&executor});
   const sim::RunResult stat =
       sim::run_single(opts.machine, merged.optimized, false);
   const sim::RunResult adaptive =
