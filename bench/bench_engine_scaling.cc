@@ -4,9 +4,11 @@
 // worker count must be byte-identical to the serial path.
 //
 // For each worker count (1, 2, 4, 8, 16) the full suite is re-analyzed
-// from a cold PlanCache on both machines (profile + optimize under every
-// policy + five simulated runs per benchmark, fanned out by
-// evaluate_suite), and every OptimizationReport is serialized into a
+// from a cold PlanCache on both machines (one profile per benchmark for
+// both machines, a plan per planned policy and five simulated runs, fanned
+// out by evaluate_suite as (benchmark, policy) units). Then every
+// benchmark's OptimizationReport is solved afresh by run_optimize, fanned
+// out one benchmark per unit, and serialized in suite order into a
 // per-pass fingerprint.
 //
 // Gates (exit 1 on violation):
@@ -42,10 +44,11 @@ PassResult run_pass(int jobs, const std::vector<std::string>& names) {
   const auto start = std::chrono::steady_clock::now();
 
   std::string fingerprint;
+  // Cold cache per pass: every worker count redoes the identical work. One
+  // cache spans both machines, so each benchmark is profiled once per pass.
+  analysis::PlanCache cache;
   for (const sim::MachineConfig& machine :
        {sim::amd_phenom_ii(), sim::intel_sandybridge()}) {
-    // Cold cache per pass: every worker count redoes the identical work.
-    analysis::PlanCache cache;
     const std::vector<analysis::BenchmarkEvaluation> evals =
         analysis::evaluate_suite(machine, names, cache, &executor);
     for (const analysis::BenchmarkEvaluation& eval : evals) {
@@ -56,11 +59,15 @@ PassResult run_pass(int jobs, const std::vector<std::string>& names) {
       }
     }
     // The optimize artifacts themselves, via the engine's stable
-    // serialization (per-PC MRC construction fans out inside StatStack).
-    for (const std::string& name : names) {
-      const workloads::Program program = workloads::make_benchmark(name);
-      fingerprint += engine::serialize_report(engine::run_optimize(
-          program, machine, {}, engine::EngineContext{&executor}));
+    // serialization: one unit per benchmark, ordered reduction.
+    for (const std::string& report :
+         executor.map(names.size(), [&](std::size_t i) {
+           const workloads::Program program =
+               workloads::make_benchmark(names[i]);
+           return engine::serialize_report(engine::run_optimize(
+               program, machine, {}, engine::EngineContext{&executor}));
+         })) {
+      fingerprint += report;
     }
   }
 

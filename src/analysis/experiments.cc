@@ -1,8 +1,10 @@
 #include "analysis/experiments.hh"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "analysis/metrics.hh"
+#include "engine/pipeline.hh"
 
 namespace re::analysis {
 
@@ -20,6 +22,24 @@ const char* policy_name(Policy policy) {
 PlanCache::PlanCache(core::OptimizerOptions options)
     : options_(std::move(options)) {}
 
+const core::Profile& PlanCache::profile(const std::string& benchmark) {
+  return profiles_.get(benchmark, [&] {
+    return core::profile_program(
+        workloads::make_benchmark(benchmark, workloads::InputSet::Reference),
+        options_.sampler, options_.profile_max_refs);
+  });
+}
+
+const sim::RunResult& PlanCache::baseline(const sim::MachineConfig& machine,
+                                          const std::string& benchmark) {
+  return baselines_.get(machine.name + "/" + benchmark, [&] {
+    return sim::run_single(
+        machine,
+        workloads::make_benchmark(benchmark, workloads::InputSet::Reference),
+        /*hw_prefetch=*/false);
+  });
+}
+
 const core::OptimizationReport& PlanCache::report(
     const sim::MachineConfig& machine, const std::string& benchmark,
     Policy policy) {
@@ -31,29 +51,34 @@ const core::OptimizationReport& PlanCache::report(
     default:
       throw std::invalid_argument("no optimization report for this policy");
   }
-  const std::string key = machine.name + "/" + benchmark + "/" + variant;
-
-  Entry* entry;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::unique_ptr<Entry>& slot = reports_[key];
-    if (slot == nullptr) slot = std::make_unique<Entry>();
-    entry = slot.get();
-  }
-  // The expensive profile+optimize runs outside the map lock: distinct
-  // benchmarks/variants proceed in parallel, the same key computes once.
-  std::call_once(entry->once, [&] {
+  return reports_.get(machine.name + "/" + benchmark + "/" + variant, [&] {
     const workloads::Program reference =
         workloads::make_benchmark(benchmark, workloads::InputSet::Reference);
-    core::OptimizerOptions opts = options_;
+    engine::OptimizeArtifacts a;
+    a.program = &reference;
+    a.machine = &machine;
+    a.options = options_;
+    // Δ's baseline-sim fallback is the memoized Baseline run; the graph
+    // takes the resolved value as assumed.
+    a.options.assumed_cycles_per_memop =
+        engine::resolve_delta(options_.assumed_cycles_per_memop,
+                              options_.measured_cycles_per_memop,
+                              [&] {
+                                return core::cycles_per_memop(
+                                    baseline(machine, benchmark));
+                              })
+            .cycles_per_memop;
+    a.profile_bound = true;
+    a.report.profile = profile(benchmark);
+    a.report.benchmark = reference.name;
     if (policy == Policy::StrideCentric) {
-      entry->report = core::stride_centric_optimize(reference, machine, opts);
+      engine::stride_centric_graph().run(a, {});
     } else {
-      opts.enable_non_temporal = (policy == Policy::SoftwareNT);
-      entry->report = core::optimize_program(reference, machine, opts);
+      a.options.enable_non_temporal = (policy == Policy::SoftwareNT);
+      engine::optimize_graph().run(a, {});
     }
+    return std::move(a.report);
   });
-  return entry->report;
 }
 
 workloads::Program PlanCache::prepare(const sim::MachineConfig& machine,
@@ -88,19 +113,35 @@ double BenchmarkEvaluation::bandwidth_gbps(Policy policy) const {
   return runs.at(policy).bandwidth_gbps();
 }
 
+namespace {
+
+// In enum order: kPolicies[p] == Policy(p).
+constexpr Policy kPolicies[] = {Policy::Baseline, Policy::Hardware,
+                                Policy::Software, Policy::SoftwareNT,
+                                Policy::StrideCentric};
+
+sim::RunResult run_policy(const sim::MachineConfig& machine,
+                          const std::string& benchmark, PlanCache& cache,
+                          workloads::InputSet input, Policy policy) {
+  if (policy == Policy::Baseline && input == workloads::InputSet::Reference) {
+    return cache.baseline(machine, benchmark);
+  }
+  return sim::run_single(machine,
+                         cache.prepare(machine, benchmark, input, policy),
+                         policy == Policy::Hardware);
+}
+
+}  // namespace
+
 BenchmarkEvaluation evaluate_benchmark(const sim::MachineConfig& machine,
                                        const std::string& benchmark,
                                        PlanCache& cache,
                                        workloads::InputSet input) {
   BenchmarkEvaluation eval;
   eval.name = benchmark;
-  for (Policy policy :
-       {Policy::Baseline, Policy::Hardware, Policy::Software,
-        Policy::SoftwareNT, Policy::StrideCentric}) {
-    const workloads::Program program =
-        cache.prepare(machine, benchmark, input, policy);
-    const bool hw = policy == Policy::Hardware;
-    eval.runs.emplace(policy, sim::run_single(machine, program, hw));
+  for (Policy policy : kPolicies) {
+    eval.runs.emplace(policy,
+                      run_policy(machine, benchmark, cache, input, policy));
   }
   return eval;
 }
@@ -109,16 +150,39 @@ std::vector<BenchmarkEvaluation> evaluate_suite(
     const sim::MachineConfig& machine,
     const std::vector<std::string>& benchmarks, PlanCache& cache,
     const engine::Executor* executor, workloads::InputSet input) {
-  const auto evaluate = [&](std::size_t i) {
-    return evaluate_benchmark(machine, benchmarks[i], cache, input);
+  constexpr std::size_t kUnits = 3;  // per benchmark per wave
+  constexpr std::size_t kRuns = std::size(kPolicies);
+  const engine::EngineContext ctx{executor};
+  // runs[i * kRuns + p]: benchmark i under kPolicies[p].
+  std::vector<sim::RunResult> runs(benchmarks.size() * kRuns);
+  const auto run_unit = [&](std::size_t i, Policy policy) {
+    runs[i * kRuns + static_cast<std::size_t>(policy)] =
+        run_policy(machine, benchmarks[i], cache, input, policy);
   };
-  if (executor != nullptr) {
-    return executor->map(benchmarks.size(), evaluate);
-  }
-  std::vector<BenchmarkEvaluation> out;
-  out.reserve(benchmarks.size());
+
+  // Wave 1: what every plan reads (the profile; the Baseline run is also
+  // Δ's fallback) beside the Hardware run, which needs no plan.
+  ctx.for_each(benchmarks.size() * kUnits, [&](std::size_t u) {
+    const std::size_t i = u / kUnits;
+    switch (u % kUnits) {
+      case 0: cache.profile(benchmarks[i]); break;
+      case 1: run_unit(i, Policy::Baseline); break;
+      default: run_unit(i, Policy::Hardware); break;
+    }
+  });
+  // Wave 2: each planned policy solves its plan, then runs it.
+  constexpr Policy kPlanned[kUnits] = {Policy::Software, Policy::SoftwareNT,
+                                       Policy::StrideCentric};
+  ctx.for_each(benchmarks.size() * kUnits, [&](std::size_t u) {
+    run_unit(u / kUnits, kPlanned[u % kUnits]);
+  });
+
+  std::vector<BenchmarkEvaluation> out(benchmarks.size());
   for (std::size_t i = 0; i < benchmarks.size(); ++i) {
-    out.push_back(evaluate(i));
+    out[i].name = benchmarks[i];
+    for (std::size_t p = 0; p < kRuns; ++p) {
+      out[i].runs.emplace(kPolicies[p], std::move(runs[i * kRuns + p]));
+    }
   }
   return out;
 }

@@ -30,18 +30,33 @@ enum class Policy { Baseline, Hardware, Software, SoftwareNT, StrideCentric };
 
 const char* policy_name(Policy policy);
 
-/// Caches optimization reports per (machine, benchmark, policy variant) so
-/// each bench binary profiles and optimizes a benchmark exactly once.
-/// Profiling always uses the Reference input (paper Section VII-D: a single
-/// input profile is used for both target architectures and all runs).
+/// Memoizes the three artifacts a suite pass shares, each computed once per
+/// cache however many policies, machines or threads ask for it:
+///   * the raw profile per benchmark: the Reference input sampled under
+///     options().sampler. It does not depend on the machine (paper Section
+///     VII-D: a single input profile is used for both target architectures
+///     and all runs);
+///   * the Baseline run per (machine, benchmark) on the Reference input:
+///     the Baseline policy's timed run, and the Δ fallback of every plan
+///     solved for that benchmark on that machine;
+///   * the optimization report per (machine, benchmark, policy variant):
+///     optimize_graph (Software, SoftwareNT) or stride_centric_graph
+///     (StrideCentric) over the bound profile. Software/NT reports hold
+///     the sanitized profile, StrideCentric the raw one.
 ///
-/// Thread-safe: evaluate_suite fans benchmark evaluations out over engine
-/// workers that share one cache. Each key's report is computed exactly once
-/// (call_once) outside the map lock, so distinct benchmarks optimize in
-/// parallel, and returned references stay stable (entries never move).
+/// Thread-safe: evaluate_suite fans units out over engine workers that
+/// share one cache. Each memo guards only its map's shape with a mutex;
+/// every entry is computed exactly once (call_once) outside that lock, so
+/// distinct keys compute in parallel, and returned references stay stable
+/// (entries never move).
 class PlanCache {
  public:
   explicit PlanCache(core::OptimizerOptions options = {});
+
+  const core::Profile& profile(const std::string& benchmark);
+
+  const sim::RunResult& baseline(const sim::MachineConfig& machine,
+                                 const std::string& benchmark);
 
   const core::OptimizationReport& report(const sim::MachineConfig& machine,
                                          const std::string& benchmark,
@@ -57,14 +72,37 @@ class PlanCache {
   const core::OptimizerOptions& options() const { return options_; }
 
  private:
-  struct Entry {
-    std::once_flag once;
-    core::OptimizationReport report;
+  /// Map-shape mutex plus per-entry call_once: `compute` runs once per key,
+  /// outside the lock.
+  template <typename V>
+  class Memo {
+   public:
+    template <typename Compute>
+    const V& get(const std::string& key, const Compute& compute) {
+      Entry* entry;
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        std::unique_ptr<Entry>& slot = entries_[key];
+        if (slot == nullptr) slot = std::make_unique<Entry>();
+        entry = slot.get();
+      }
+      std::call_once(entry->once, [&] { entry->value = compute(); });
+      return entry->value;
+    }
+
+   private:
+    struct Entry {
+      std::once_flag once;
+      V value;
+    };
+    std::mutex mutex_;
+    std::map<std::string, std::unique_ptr<Entry>> entries_;
   };
 
   core::OptimizerOptions options_;
-  std::mutex mutex_;  // guards the map shape only, never the optimize
-  std::map<std::string, std::unique_ptr<Entry>> reports_;
+  Memo<core::Profile> profiles_;
+  Memo<sim::RunResult> baselines_;
+  Memo<core::OptimizationReport> reports_;
 };
 
 /// Single-benchmark evaluation (Figures 4-6): one run per policy.
@@ -77,16 +115,19 @@ struct BenchmarkEvaluation {
   double bandwidth_gbps(Policy policy) const;
 };
 
+/// The Reference-input Baseline run comes from the cache's memo.
 BenchmarkEvaluation evaluate_benchmark(
     const sim::MachineConfig& machine, const std::string& benchmark,
     PlanCache& cache,
     workloads::InputSet input = workloads::InputSet::Reference);
 
-/// Evaluate a whole suite, fanning the per-benchmark work (profile,
-/// optimize under every policy, five simulated runs) out over `executor`'s
-/// workers. Ordered reduction: results arrive in `benchmarks` order and are
-/// byte-identical to the serial loop at any worker count. Null executor =
-/// serial.
+/// Evaluate a whole suite, fanning (benchmark, unit) pairs out over
+/// `executor`'s workers in two ordered waves: first each benchmark's
+/// profile, Baseline run and Hardware run, then its three planned policies
+/// (solve the plan, then the timed run). Every unit writes only its own
+/// run slot, so results arrive in `benchmarks` order and equal
+/// evaluate_benchmark's at any worker count. Null executor = the same
+/// units, inline.
 std::vector<BenchmarkEvaluation> evaluate_suite(
     const sim::MachineConfig& machine,
     const std::vector<std::string>& benchmarks, PlanCache& cache,

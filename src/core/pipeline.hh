@@ -21,6 +21,7 @@
 #include "core/statstack.hh"
 #include "core/stride_analysis.hh"
 #include "sim/config.hh"
+#include "sim/system.hh"
 #include "workloads/program.hh"
 
 namespace re::core {
@@ -62,6 +63,10 @@ struct OptimizationReport {
   /// `optimized` is the input program unchanged.
   DegradationLog degradation;
 };
+
+/// Δ of a finished run: core 0's cycles per memory operation (1.0 when the
+/// run made no references).
+double cycles_per_memop(const sim::RunResult& run);
 
 /// Measure Δ: baseline cycles per memory operation from a single-core run
 /// with all prefetching off (the paper measures this per benchmark with

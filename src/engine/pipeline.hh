@@ -10,7 +10,8 @@
 //   * the adaptive controller's per-window refinement;
 //   * the co-run pipeline's per-core plan solve (analysis/corun);
 //   * differential verification's estimator side;
-//   * the experiment drivers, the advisory service's solver and repf.
+//   * the experiment drivers (analysis::PlanCache, over one shared profile
+//     per benchmark), the advisory service's solver and repf.
 //
 // The stages:
 //
@@ -47,8 +48,8 @@ struct OptimizeArtifacts {
   const workloads::Program* program = nullptr;
   const sim::MachineConfig* machine = nullptr;
   core::OptimizerOptions options;
-  /// True when the caller supplied `report.profile` directly (replayed or
-  /// fault-injected profiles); the `sample` stage is skipped.
+  /// True when the caller supplied `report.profile` directly (replayed,
+  /// fault-injected or shared profiles); the `sample` stage is skipped.
   bool profile_bound = false;
 
   // -- produced artifacts

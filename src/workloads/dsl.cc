@@ -128,48 +128,72 @@ std::uint64_t field_size_or(const Fields& fields, const std::string& key,
   return it == fields.end() ? fallback : parse_size(it->second, line);
 }
 
+/// A field the IR stores in 32 bits: a value that does not fit is
+/// rejected, never truncated.
+std::uint32_t to_u32(std::uint64_t value, const std::string& key, int line) {
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    throw DslParseError(line,
+                        key + " out of range: " + std::to_string(value));
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
+/// A size the pattern wraps at or divides by: zero is rejected.
+std::uint64_t positive(std::uint64_t value, const std::string& key,
+                       int line) {
+  if (value == 0) throw DslParseError(line, key + " must be positive");
+  return value;
+}
+
+std::uint64_t field_footprint(const Fields& fields, int line) {
+  return positive(field_size(fields, "footprint", line), "footprint", line);
+}
+
 AccessPattern parse_pattern(const std::string& kind, const Fields& fields,
                             int line) {
   const Addr base = field_size_or(fields, "base", 0, line);
   if (kind == "stream") {
     return StreamPattern{base, field_signed(fields, "stride", line),
-                         field_size(fields, "footprint", line)};
+                         field_footprint(fields, line)};
   }
   if (kind == "strided") {
     return StridedPattern{
         base, field_signed(fields, "stride", line),
-        field_size(fields, "footprint", line),
-        static_cast<std::uint32_t>(
-            field_size_or(fields, "irregular", 0, line))};
+        field_footprint(fields, line),
+        to_u32(field_size_or(fields, "irregular", 0, line), "irregular",
+               line)};
   }
   if (kind == "chase") {
     return PointerChasePattern{
-        base, field_size(fields, "footprint", line),
-        static_cast<std::uint32_t>(field_size_or(fields, "node", 64, line))};
+        base, field_footprint(fields, line),
+        to_u32(positive(field_size_or(fields, "node", 64, line), "node",
+                        line),
+               "node", line)};
   }
   if (kind == "gather") {
     return GatherPattern{
-        base, field_size(fields, "footprint", line),
-        static_cast<std::uint32_t>(
-            field_size_or(fields, "element", 8, line))};
+        base, field_footprint(fields, line),
+        to_u32(positive(field_size_or(fields, "element", 8, line), "element",
+                        line),
+               "element", line)};
   }
   if (kind == "shortstream") {
     return ShortStreamPattern{
         base, field_signed(fields, "stride", line),
-        static_cast<std::uint32_t>(field_size(fields, "len", line)),
-        field_size(fields, "footprint", line)};
+        to_u32(positive(field_size(fields, "len", line), "len", line), "len",
+               line),
+        field_footprint(fields, line)};
   }
   if (kind == "hot") {
     return HotBufferPattern{base, field_signed(fields, "stride", line),
-                            field_size(fields, "footprint", line)};
+                            field_footprint(fields, line)};
   }
   if (kind == "blocked") {
     return BlockedPattern{
         base, field_signed(fields, "stride", line),
-        field_size(fields, "block", line),
-        field_size(fields, "footprint", line),
-        static_cast<std::uint32_t>(
-            field_size_or(fields, "revisits", 1, line))};
+        field_size(fields, "block", line), field_footprint(fields, line),
+        to_u32(field_size_or(fields, "revisits", 1, line), "revisits",
+               line)};
   }
   throw DslParseError(line, "unknown pattern kind: " + kind);
 }
@@ -262,6 +286,7 @@ Program parse_program(const std::string& text) {
   bool saw_header = false;
   bool in_loop = false;
   int line_no = 0;
+  std::uint64_t refs_per_rep = 0;
 
   std::istringstream stream(text);
   std::string raw_line;
@@ -350,8 +375,9 @@ Program parse_program(const std::string& text) {
       fields[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
     }
     if (fields.count("compute")) {
-      inst.compute_cycles = static_cast<std::uint32_t>(
-          parse_size(fields.at("compute"), line_no));
+      inst.compute_cycles =
+          to_u32(parse_size(fields.at("compute"), line_no), "compute",
+                 line_no);
       fields.erase("compute");
     }
     inst.pattern = parse_pattern(kind, fields, line_no);
@@ -367,6 +393,15 @@ Program parse_program(const std::string& text) {
     }
 
     program.loops.back().body.push_back(std::move(inst));
+    // total_references() = reps x sum(iterations x body size) must fit.
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t iterations = program.loops.back().iterations;
+    if (iterations > kMax - refs_per_rep ||
+        (program.outer_reps != 0 &&
+         refs_per_rep + iterations > kMax / program.outer_reps)) {
+      throw DslParseError(line_no, "reference count overflows 64 bits");
+    }
+    refs_per_rep += iterations;
   }
 
   if (in_loop) throw DslParseError(line_no, "unterminated loop");

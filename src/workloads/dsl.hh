@@ -21,10 +21,16 @@
 //   gather      base footprint element
 //   shortstream base stride len footprint
 //   hot         base stride footprint
+//   blocked     base stride block footprint revisits
 // Optional per-instruction suffixes: `serial`, `store`, and an attached
 // prefetch
 //   `; prefetcht0 +256` / `; prefetchnta -128`.
 // Sizes accept K/M suffixes; addresses accept 0x hex.
+//
+// Domain checks (DslParseError, never a truncated or wrapped value):
+// footprint, node, element and len must be positive; irregular, node,
+// element, len, revisits and compute must fit in 32 bits; the program's
+// reference count (reps x loop iterations x body size) must fit in 64.
 #pragma once
 
 #include <stdexcept>

@@ -215,10 +215,13 @@ TEST(EngineStress, ConcurrentWindowedSolvesAreIndependent) {
 }
 
 TEST(EngineStress, PlanCacheComputesEachKeyOnceUnderContention) {
-  // Many threads hammer the shared PlanCache with overlapping keys; every
-  // returned reference must describe the same plans, and distinct keys must
-  // not serialize behind one another (call_once is per entry).
-  const sim::MachineConfig machine = sim::amd_phenom_ii();
+  // Many threads hammer the shared PlanCache with overlapping keys on both
+  // machines, so they contend on the machine-independent profile memo, the
+  // per-machine Baseline memo and the report memo at once. Every returned
+  // reference must describe the same plans, and distinct keys must not
+  // serialize behind one another (call_once is per entry).
+  const std::vector<sim::MachineConfig> machines = {sim::amd_phenom_ii(),
+                                                    sim::intel_sandybridge()};
   analysis::PlanCache cache;
   const std::vector<std::string> names = workloads::suite_names();
   const std::vector<analysis::Policy> policies = {
@@ -228,9 +231,12 @@ TEST(EngineStress, PlanCacheComputesEachKeyOnceUnderContention) {
   // Expected plan counts from a private serial cache.
   analysis::PlanCache reference;
   std::vector<std::size_t> expected;
-  for (const std::string& name : names) {
-    for (const analysis::Policy policy : policies) {
-      expected.push_back(reference.report(machine, name, policy).plans.size());
+  for (const sim::MachineConfig& machine : machines) {
+    for (const std::string& name : names) {
+      for (const analysis::Policy policy : policies) {
+        expected.push_back(
+            reference.report(machine, name, policy).plans.size());
+      }
     }
   }
 
@@ -240,15 +246,22 @@ TEST(EngineStress, PlanCacheComputesEachKeyOnceUnderContention) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::size_t k = 0;
-      for (const std::string& name : names) {
-        for (const analysis::Policy policy : policies) {
-          const auto& report = cache.report(machine, name, policy);
-          if (report.plans.size() != expected[k]) {
-            mismatches[t] = name + ": wrong plan count";
-            return;
+      // Odd threads start on the other machine, so both machines' reports
+      // ask for each benchmark's shared profile at once.
+      for (std::size_t step = 0; step < machines.size(); ++step) {
+        const std::size_t m =
+            (step + static_cast<std::size_t>(t)) % machines.size();
+        std::size_t k = m * names.size() * policies.size();
+        for (const std::string& name : names) {
+          for (const analysis::Policy policy : policies) {
+            const auto& report = cache.report(machines[m], name, policy);
+            if (report.plans.size() != expected[k]) {
+              mismatches[t] =
+                  machines[m].name + "/" + name + ": wrong plan count";
+              return;
+            }
+            ++k;
           }
-          ++k;
         }
       }
     });

@@ -165,6 +165,87 @@ TEST(DslParse, SignedMagnitudesBeyondInt64AreRejected) {
             std::numeric_limits<std::int64_t>::min());
 }
 
+TEST(DslParse, ThirtyTwoBitFieldsAreRejectedNotTruncated) {
+  // 2^32 + 8 used to be stored as 8 (`element=4294967304` dumped as
+  // `element=8`).
+  EXPECT_EQ(error_line(one_inst("pc1: gather footprint=1K "
+                                "element=4294967304")),
+            3);
+  EXPECT_EQ(error_line(one_inst("pc1: chase footprint=1K node=4294967360")),
+            3);
+  EXPECT_EQ(error_line(one_inst("pc1: strided stride=8 footprint=1K "
+                                "irregular=4294967296")),
+            3);
+  EXPECT_EQ(error_line(one_inst("pc1: shortstream stride=8 len=4294967312 "
+                                "footprint=1K")),
+            3);
+  EXPECT_EQ(error_line(one_inst("pc1: blocked stride=64 block=1K "
+                                "footprint=1M revisits=4294967297")),
+            3);
+  EXPECT_EQ(error_line(one_inst("pc1: stream stride=8 footprint=1K "
+                                "compute=4294967296")),
+            3);
+  // The largest 32-bit value still parses.
+  const Program p = parse_program(
+      one_inst("pc1: gather footprint=1K element=4294967295"));
+  EXPECT_EQ(std::get<GatherPattern>(p.loops[0].body[0].pattern).element_size,
+            4294967295u);
+}
+
+TEST(DslParse, ZeroFootprintIsRejected) {
+  for (const char* inst : {"pc1: stream stride=8 footprint=0",
+                           "pc1: hot stride=8 footprint=0",
+                           "pc1: strided stride=8 footprint=0",
+                           "pc1: chase footprint=0",
+                           "pc1: gather footprint=0",
+                           "pc1: shortstream stride=8 len=4 footprint=0",
+                           "pc1: blocked stride=64 block=1K footprint=0"}) {
+    EXPECT_EQ(error_line(one_inst(inst)), 3) << inst;
+  }
+}
+
+TEST(DslParse, ZeroElementIsRejected) {
+  EXPECT_EQ(error_line(one_inst("pc1: gather footprint=1K element=0")), 3);
+}
+
+TEST(DslParse, ZeroNodeIsRejected) {
+  EXPECT_EQ(error_line(one_inst("pc1: chase footprint=1K node=0")), 3);
+}
+
+TEST(DslParse, ZeroStreamLengthIsRejected) {
+  // The pattern divides by `len`.
+  EXPECT_EQ(error_line(one_inst("pc1: shortstream stride=8 len=0 "
+                                "footprint=1K")),
+            3);
+}
+
+TEST(DslParse, ReferenceCountThatOverflowsIsRejected) {
+  // 2^61 iterations x 2 instructions x 4 reps = 2^64 references; the
+  // error names the instruction that pushes the count past 64 bits.
+  EXPECT_EQ(error_line("program x reps=4\n"
+                       "loop 2305843009213693952 {\n"
+                       "  pc1: stream stride=8 footprint=1K\n"
+                       "  pc2: stream stride=8 footprint=1K\n"
+                       "}\n"),
+            4);
+  // Across loops too.
+  EXPECT_EQ(error_line("program x\n"
+                       "loop 18446744073709551615 {\n"
+                       "  pc1: stream stride=8 footprint=1K\n"
+                       "}\n"
+                       "loop 1 {\n"
+                       "  pc2: stream stride=8 footprint=1K\n"
+                       "}\n"),
+            6);
+  // Exactly 2^64 - 1 references still parses.
+  const Program p = parse_program(
+      "program x reps=3\n"
+      "loop 6148914691236517205 {\n"
+      "  pc1: stream stride=8 footprint=1K\n"
+      "}\n");
+  EXPECT_EQ(p.total_references(), std::numeric_limits<std::uint64_t>::max());
+}
+
 TEST(DslPrint, RoundTripsStructure) {
   const Program original = parse_program(kDemo);
   const Program reparsed = parse_program(print_program(original));

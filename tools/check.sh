@@ -45,6 +45,13 @@
 #            over src/; fails if line coverage drops more than 2 points
 #            below the baseline recorded in DESIGN.md ("Coverage baseline:
 #            NN.N %"). Default build dir: build-cov.
+#   perfbench
+#            run the benchmark's own tests (`python3
+#            perfbench/test_perfbench.py`): every workload's smoke run
+#            prints each end-to-end metric and matches its recorded digest,
+#            a perturbed statistic trips the digest check, the 1- and
+#            4-worker digests agree, and a traced pass equals an untraced
+#            one. Builds perfbench's own Release tree (.bench_build/).
 #   unit | integration
 #            ctest label shortcuts against the tier-1 build
 #            (`ctest -L unit` / `ctest -L integration`).
@@ -58,7 +65,7 @@ JOBS="$(nproc 2>/dev/null || echo 2)"
 
 LANE="${1:-asan}"
 case "$LANE" in
-  asan|werror|bench|verify|chaos|serve|corun|tsan|coverage|unit|integration) shift || true ;;
+  asan|werror|bench|verify|chaos|serve|corun|tsan|coverage|perfbench|unit|integration) shift || true ;;
   *) LANE=asan ;;  # first arg is a build dir, keep it in $1
 esac
 
@@ -382,6 +389,11 @@ run_coverage() {
   echo "coverage lane clean (baseline ${baseline}%)"
 }
 
+run_perfbench() {
+  python3 perfbench/test_perfbench.py
+  echo "perfbench lane clean"
+}
+
 case "$LANE" in
   asan) run_asan "${1:-}" ;;
   werror) run_werror "${1:-}" ;;
@@ -392,6 +404,7 @@ case "$LANE" in
   corun) run_corun "${1:-}" "${2:-}" ;;
   tsan) run_tsan "${1:-}" ;;
   coverage) run_coverage "${1:-}" ;;
+  perfbench) run_perfbench ;;
   unit) run_label unit "${1:-}" ;;
   integration) run_label integration "${1:-}" ;;
 esac
