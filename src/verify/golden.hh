@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/experiments.hh"
 #include "core/insertion.hh"
 #include "sim/config.hh"
 
@@ -69,5 +70,33 @@ std::string render_corun_golden(const std::vector<GoldenEntry>& entries,
 
 /// Snapshot file name for a machine: "corun_plans_<machine>.golden".
 std::string corun_golden_filename(const std::string& machine_name);
+
+// ---- simulator goldens ---------------------------------------------------
+//
+// The timed simulator's statistics behind the paper's Figs. 4-11: every
+// suite benchmark under each policy (Baseline, Hardware, Software,
+// SoftwareNT, StrideCentric) plus two seeded 4-app mixes under Baseline,
+// Hardware and SoftwareNT. A line carries cycles, references, whole-window
+// DRAM lines by class and the late/useless prefetch counters, so a
+// simulator change that moves any figure names the run it moved.
+
+struct SimGolden {
+  std::vector<analysis::BenchmarkEvaluation> suite;
+  std::vector<analysis::MixEvaluation> mixes;
+};
+
+/// Evaluate the suite and the golden mixes on `machine`. With an executor,
+/// units fan out over its workers; the result is byte-identical to the
+/// serial path at any worker count.
+SimGolden compute_sim_golden(const sim::MachineConfig& machine,
+                             const engine::Executor* executor = nullptr);
+
+/// Render in the golden format: one `<benchmark> <policy> key=value...`
+/// line per suite run and one `mix<i> <policy> ...` line per mix run.
+std::string render_sim_golden(const SimGolden& golden,
+                              const std::string& machine_name);
+
+/// Snapshot file name for a machine: "sim_<machine>.golden".
+std::string sim_golden_filename(const std::string& machine_name);
 
 }  // namespace re::verify

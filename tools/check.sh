@@ -12,10 +12,11 @@
 #            (RE_BENCH_SMOKE=1, RE_MIX_COUNT=2); each must exit 0.
 #            Default build dir: build (reuses the tier-1 build).
 #   verify   run the differential-verification lane: `ctest -L verify`,
-#            then `repf verify` against the committed golden plans for both
-#            machines at --jobs 1 and --jobs 8, compared byte-for-byte
-#            (determinism).
-#            `tools/check.sh verify --bless` re-blesses the goldens instead.
+#            then `repf verify` against the committed golden plans
+#            (plans_<machine>.golden) and simulator statistics
+#            (sim_<machine>.golden) for both machines at --jobs 1 and
+#            --jobs 8, compared byte-for-byte (determinism).
+#            `tools/check.sh verify --bless` re-blesses both instead.
 #            Default build dir: build.
 #   chaos    run the chaos-engineering lane under ASan+UBSan: `ctest -L
 #            chaos`, then a seeded `repf chaos --crash-check --jobs 2`
@@ -150,16 +151,16 @@ run_verify() {
   if [[ "$bless" == 1 ]]; then
     "$build_dir/tools/repf" verify --bless --golden tests/golden
     "$build_dir/tools/repf" verify --bless --golden tests/golden --machine intel
-    echo "goldens re-blessed under tests/golden/"
+    echo "plan and sim goldens re-blessed under tests/golden/"
     return
   fi
 
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" -L verify
 
-  # The oracle sweep must pass against the committed goldens on both
-  # machines — and be byte-identical between the serial path and an
-  # 8-worker fan-out (the determinism contract behind golden snapshots,
-  # RE_TEST_SEED reproduction and --jobs).
+  # The oracle sweep must pass against the committed plan and simulator
+  # goldens on both machines — and be byte-identical between the serial
+  # path and an 8-worker fan-out (the determinism contract behind golden
+  # snapshots, RE_TEST_SEED reproduction and --jobs).
   local out_a out_b
   out_a="$(mktemp)" ; out_b="$(mktemp)"
   trap 'rm -f "$out_a" "$out_b"' RETURN

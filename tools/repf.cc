@@ -203,15 +203,16 @@ workloads::Program load_target(const std::string& target) {
   return workloads::parse_program(*text);
 }
 
-/// Check freshly rendered plans against the golden snapshot
-/// `--golden DIR/filename(machine)`, or rewrite the snapshot under
-/// --bless. `render` runs only when --golden is given. Adds the status lines
-/// and the `golden` field; returns false when the snapshot is missing or
+/// Check a freshly rendered snapshot against the golden file
+/// `--golden DIR/filename(machine)`, or rewrite the file under --bless.
+/// `render` runs only when --golden is given. Adds the status lines and the
+/// `field` status cell; returns false when the snapshot is missing or
 /// differs.
 template <typename Render>
 bool check_golden(const Options& opts,
                   std::string (*filename)(const std::string&),
-                  const char* title, Render render, Report& report) {
+                  const char* title, const char* field, Render render,
+                  Report& report) {
   std::string status = "skipped";
   if (!opts.golden_dir.empty()) {
     const std::string path =
@@ -239,7 +240,7 @@ bool check_golden(const Options& opts,
       status = "differs";
     }
   }
-  report.field(cell("golden", "", status));
+  report.field(cell(field, "", status));
   return status != "missing" && status != "differs";
 }
 
@@ -1012,7 +1013,7 @@ int cmd_verify(const Options& opts, Report& report) {
   bool failed = add_units(report, "traces", unit_results) > 0;
 
   const bool golden_ok = check_golden(
-      opts, verify::golden_filename, "golden plans",
+      opts, verify::golden_filename, "golden plans", "golden",
       [&] {
         return verify::render_golden(
             verify::compute_suite_plans(opts.machine, &executor),
@@ -1020,6 +1021,15 @@ int cmd_verify(const Options& opts, Report& report) {
       },
       report);
   if (!golden_ok) failed = true;
+  const bool sim_golden_ok = check_golden(
+      opts, verify::sim_golden_filename, "golden sim stats", "sim_golden",
+      [&] {
+        return verify::render_sim_golden(
+            verify::compute_sim_golden(opts.machine, &executor),
+            opts.machine.name);
+      },
+      report);
+  if (!sim_golden_ok) failed = true;
 
   report.field(ok_cell(!failed));
   report.text(failed ? "verify FAILED\n" : "verify clean\n");
@@ -1143,7 +1153,7 @@ int cmd_corun(const Options& opts, Report& report) {
   report.text(details);
 
   const bool golden_ok = check_golden(
-      opts, verify::corun_golden_filename, "co-run golden plans",
+      opts, verify::corun_golden_filename, "co-run golden plans", "golden",
       [&] {
         return verify::render_corun_golden(
             verify::compute_corun_suite_plans(opts.machine, &executor),
@@ -1275,7 +1285,8 @@ constexpr CommandInfo kCommands[] = {
      cmd_faultcheck, true, true},
     {"verify",
      "  verify                       differential oracle (StatStack vs\n"
-     "                               exact LRU) and golden-plan snapshots\n",
+     "                               exact LRU), golden-plan and sim\n"
+     "                               snapshots\n",
      "repf verify [options]\n"
      "  Run the differential verification harness: fuzzed traces with\n"
      "  known analytic truth are replayed once into both the sampled\n"
@@ -1288,9 +1299,11 @@ constexpr CommandInfo kCommands[] = {
      "                          (strided subline chase blocked\n"
      "                          phasemix hotcold; default all)\n"
      "    --golden DIR          also check the suite's prefetch plans\n"
-     "                          against DIR/plans_<machine>.golden\n"
-     "    --bless               rewrite the golden snapshot instead\n"
-     "                          of checking it\n"
+     "                          against DIR/plans_<machine>.golden and\n"
+     "                          its simulated statistics against\n"
+     "                          DIR/sim_<machine>.golden\n"
+     "    --bless               rewrite the golden snapshots instead\n"
+     "                          of checking them\n"
      "    --jobs N              fan traces and golden benchmarks out\n"
      "                          over N engine workers\n"
      "                          (byte-identical output at any N)\n"
