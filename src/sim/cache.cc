@@ -1,5 +1,6 @@
 #include "sim/cache.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -18,94 +19,77 @@ SetAssocCache::SetAssocCache(const CacheGeometry& geometry)
     throw std::invalid_argument(
         "cache set count must be a power of two (adjust associativity)");
   }
-  ways_storage_.resize(sets_ * ways_);
-}
-
-bool SetAssocCache::access(Addr line, bool demand) {
-  Way* begin = set_begin(set_of(line));
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    Way& way = begin[w];
-    if (way.valid && way.tag == line) {
-      way.last_used = ++tick_;
-      if (demand) way.demand_touched = true;
-      return true;
-    }
+  if (ways_ > kMaxAssociativity) {
+    throw std::invalid_argument("cache associativity must be at most 64");
   }
-  return false;
+  tags_.assign(sets_ * ways_, kInvalidTag);
+  ages_.assign(sets_ * ways_, 0);
+  flags_.assign(sets_ * ways_, 0);
 }
 
-bool SetAssocCache::contains(Addr line) const {
-  const Way* begin = set_begin(set_of(line));
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (begin[w].valid && begin[w].tag == line) return true;
+std::uint32_t SetAssocCache::victim(std::size_t base) const {
+  const std::uint64_t* ages = &ages_[base];
+  std::uint32_t oldest_way = 0;
+  std::uint64_t oldest = ages[0];
+  for (std::uint32_t w = 1; w < ways_; ++w) {
+    const bool older = ages[w] < oldest;
+    oldest = older ? ages[w] : oldest;
+    oldest_way = older ? w : oldest_way;
   }
-  return false;
+  return oldest_way;
 }
 
-std::optional<Eviction> SetAssocCache::fill(Addr line, FillOrigin origin) {
+std::optional<Eviction> SetAssocCache::fill(Addr line, FillOrigin origin,
+                                            bool dirty) {
   // Contract: the caller has established that `line` is not resident (all
   // call sites probe with access()/contains() first). A duplicate fill
   // would corrupt the set, so this is asserted in debug builds.
-  Way* begin = set_begin(set_of(line));
-  Way* victim = begin;
-  std::uint64_t oldest = ~std::uint64_t{0};
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    Way& way = begin[w];
-    assert(!(way.valid && way.tag == line) && "duplicate cache fill");
-    if (!way.valid) {
-      victim = &way;
-      break;
-    }
-    if (way.last_used < oldest) {
-      oldest = way.last_used;
-      victim = &way;
-    }
-  }
+  const std::size_t base = set_base(line);
+  assert(line != kInvalidTag && "line collides with the invalid-way tag");
+  assert(find(base, line) >= ways_ && "duplicate cache fill");
+  const std::size_t slot = base + victim(base);
 
   std::optional<Eviction> evicted;
-  if (victim->valid) {
-    evicted = Eviction{victim->tag, victim->origin, victim->demand_touched,
-                       victim->dirty};
+  if (ages_[slot] != 0) {
+    const std::uint8_t flags = flags_[slot];
+    evicted = Eviction{tags_[slot],
+                       static_cast<FillOrigin>(flags & kOriginMask),
+                       (flags & kTouched) != 0, (flags & kDirty) != 0};
   }
-  victim->tag = line;
-  victim->valid = true;
-  victim->last_used = ++tick_;
-  victim->origin = origin;
-  victim->demand_touched = false;
-  victim->dirty = false;
+  tags_[slot] = line;
+  ages_[slot] = ++tick_;
+  flags_[slot] = static_cast<std::uint8_t>(static_cast<std::uint8_t>(origin) |
+                                           (dirty ? kDirty : 0));
   return evicted;
 }
 
 bool SetAssocCache::mark_dirty(Addr line) {
-  Way* begin = set_begin(set_of(line));
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (begin[w].valid && begin[w].tag == line) {
-      begin[w].dirty = true;
-      return true;
-    }
-  }
-  return false;
+  const std::size_t base = set_base(line);
+  const std::uint32_t way = find(base, line);
+  if (way >= ways_) return false;
+  flags_[base + way] |= kDirty;
+  return true;
 }
 
 void SetAssocCache::invalidate(Addr line) {
-  Way* begin = set_begin(set_of(line));
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if (begin[w].valid && begin[w].tag == line) {
-      begin[w].valid = false;
-      return;
-    }
-  }
+  const std::size_t base = set_base(line);
+  const std::uint32_t way = find(base, line);
+  if (way >= ways_) return;
+  tags_[base + way] = kInvalidTag;
+  ages_[base + way] = 0;
 }
 
 void SetAssocCache::flush() {
-  for (Way& way : ways_storage_) way.valid = false;
+  std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+  std::fill(ages_.begin(), ages_.end(), 0);
 }
 
 std::uint64_t SetAssocCache::untouched_prefetch_lines() const {
   std::uint64_t count = 0;
-  for (const Way& way : ways_storage_) {
-    if (way.valid && !way.demand_touched &&
-        way.origin != FillOrigin::Demand) {
+  for (std::size_t i = 0; i < ages_.size(); ++i) {
+    const std::uint8_t flags = flags_[i];
+    if (ages_[i] != 0 && (flags & kTouched) == 0 &&
+        static_cast<FillOrigin>(flags & kOriginMask) != FillOrigin::Demand) {
       ++count;
     }
   }

@@ -7,15 +7,9 @@ namespace re::sim {
 MemorySystem::MemorySystem(const MachineConfig& config, int num_cores)
     : config_(config),
       dram_(config.dram_bytes_per_cycle, config.dram_latency),
-      llc_(std::make_unique<SetAssocCache>(config.llc)) {
+      llc_(config.llc) {
   cores_.reserve(static_cast<std::size_t>(num_cores));
-  for (int c = 0; c < num_cores; ++c) {
-    CoreState state;
-    state.l1 = std::make_unique<SetAssocCache>(config.l1);
-    state.l2 = std::make_unique<SetAssocCache>(config.l2);
-    state.hw_prefetcher = std::make_unique<HwPrefetcher>(config.hw_prefetcher);
-    cores_.push_back(std::move(state));
-  }
+  for (int c = 0; c < num_cores; ++c) cores_.emplace_back(config);
 }
 
 void MemorySystem::handle_eviction(CoreState& core, Level level,
@@ -32,8 +26,8 @@ void MemorySystem::handle_eviction(CoreState& core, Level level,
   if (!ev->dirty) return;
   // Dirty line: push the data into the next level that holds the line, or
   // retire it to DRAM (asynchronously; only bandwidth is consumed).
-  if (level == Level::L1 && core.l2->mark_dirty(ev->line)) return;
-  if (level != Level::Llc && llc_->mark_dirty(ev->line)) return;
+  if (level == Level::L1 && core.l2.mark_dirty(ev->line)) return;
+  if (level != Level::Llc && llc_.mark_dirty(ev->line)) return;
   dram_.writeback_line(now);
 }
 
@@ -41,7 +35,7 @@ void MemorySystem::issue_hw_prefetches(int core_idx, Cycle now) {
   CoreState& core = cores_[static_cast<std::size_t>(core_idx)];
   for (Addr line : hw_candidates_) {
     // Dedup against anything already resident or in flight.
-    if (core.l2->contains(line) || llc_->contains(line) ||
+    if (core.l2.contains(line) || llc_.contains(line) ||
         core.pending.in_flight(line, now)) {
       continue;
     }
@@ -49,9 +43,9 @@ void MemorySystem::issue_hw_prefetches(int core_idx, Cycle now) {
     ++core.stats.hw_prefetch_dram_lines;
     core.pending.insert(line, ready);
     handle_eviction(core, Level::L2,
-                    core.l2->fill(line, FillOrigin::HwPrefetch), now);
+                    core.l2.fill(line, FillOrigin::HwPrefetch), now);
     handle_eviction(core, Level::Llc,
-                    llc_->fill(line, FillOrigin::HwPrefetch), now);
+                    llc_.fill(line, FillOrigin::HwPrefetch), now);
   }
   hw_candidates_.clear();
 }
@@ -87,9 +81,8 @@ Cycle MemorySystem::demand_load(int core_idx, Pc pc, Addr addr, Cycle now,
     return stall;
   };
 
-  if (core.l1->access(line, /*demand=*/true)) {
+  if (core.l1.access(line, /*demand=*/true, /*dirty=*/is_store)) {
     ++core.stats.l1_hits;
-    if (is_store) core.l1->mark_dirty(line);
     const Cycle extra = core.pending.remaining(line, now);
     Cycle stall;
     if (extra > config_.l1_latency) {
@@ -104,15 +97,14 @@ Cycle MemorySystem::demand_load(int core_idx, Pc pc, Addr addr, Cycle now,
   }
 
   // L1 miss: the access reaches L2; the HW prefetcher observes it there.
-  const bool l2_hit = core.l2->access(line, /*demand=*/true);
-  core.hw_prefetcher->observe(pc, addr, l2_hit, dram_.queue_delay(now),
-                              hw_candidates_);
+  const bool l2_hit = core.l2.access(line, /*demand=*/true);
+  core.hw_prefetcher.observe(pc, addr, l2_hit, dram_.queue_delay(now),
+                             hw_candidates_);
   if (!hw_candidates_.empty()) issue_hw_prefetches(core_idx, now);
 
   auto fill_l1 = [&] {
     handle_eviction(core, Level::L1,
-                    core.l1->fill(line, FillOrigin::Demand), now);
-    if (is_store) core.l1->mark_dirty(line);
+                    core.l1.fill(line, FillOrigin::Demand, is_store), now);
   };
 
   if (l2_hit) {
@@ -121,10 +113,10 @@ Cycle MemorySystem::demand_load(int core_idx, Pc pc, Addr addr, Cycle now,
     return finish(config_.l2_latency);
   }
 
-  if (llc_->access(line, /*demand=*/true)) {
+  if (llc_.access(line, /*demand=*/true)) {
     ++core.stats.llc_hits;
     handle_eviction(core, Level::L2,
-                    core.l2->fill(line, FillOrigin::Demand), now);
+                    core.l2.fill(line, FillOrigin::Demand), now);
     fill_l1();
     return finish(config_.llc_latency);
   }
@@ -132,9 +124,9 @@ Cycle MemorySystem::demand_load(int core_idx, Pc pc, Addr addr, Cycle now,
   ++core.stats.dram_loads;
   const Cycle ready = dram_.fetch_line(now, TrafficClass::DemandRead);
   handle_eviction(core, Level::Llc,
-                  llc_->fill(line, FillOrigin::Demand), now);
+                  llc_.fill(line, FillOrigin::Demand), now);
   handle_eviction(core, Level::L2,
-                  core.l2->fill(line, FillOrigin::Demand), now);
+                  core.l2.fill(line, FillOrigin::Demand), now);
   fill_l1();
   return finish(ready - now);
 }
@@ -155,39 +147,38 @@ void MemorySystem::software_prefetch(int core_idx, Addr addr,
 
   // Dedup against the shallowest level this hint would fill.
   const bool already_resident =
-      fill_l1 ? core.l1->contains(line)
-              : (fill_l2 ? core.l2->contains(line) : llc_->contains(line));
+      fill_l1 ? core.l1.contains(line)
+              : (fill_l2 ? core.l2.contains(line) : llc_.contains(line));
   if (already_resident || core.pending.in_flight(line, now)) {
     ++core.stats.sw_prefetches_dropped;
     return;
   }
 
+  // A prefetch hit refreshes recency at the level that holds the line.
   Cycle ready;
-  if (core.l2->contains(line)) {
-    core.l2->access(line, /*demand=*/false);
+  if (core.l2.access(line, /*demand=*/false)) {
     ready = now + config_.l2_latency;
-  } else if (llc_->contains(line)) {
-    llc_->access(line, /*demand=*/false);
+  } else if (llc_.access(line, /*demand=*/false)) {
     ready = now + config_.llc_latency;
     if (fill_l2) {
       handle_eviction(core, Level::L2,
-                      core.l2->fill(line, FillOrigin::SwPrefetch), now);
+                      core.l2.fill(line, FillOrigin::SwPrefetch), now);
     }
   } else {
     ready = dram_.fetch_line(now, TrafficClass::SwPrefetchRead);
     ++core.stats.sw_prefetch_dram_lines;
     if (fill_llc) {
       handle_eviction(core, Level::Llc,
-                      llc_->fill(line, FillOrigin::SwPrefetch), now);
+                      llc_.fill(line, FillOrigin::SwPrefetch), now);
     }
     if (fill_l2) {
       handle_eviction(core, Level::L2,
-                      core.l2->fill(line, FillOrigin::SwPrefetch), now);
+                      core.l2.fill(line, FillOrigin::SwPrefetch), now);
     }
   }
   if (fill_l1) {
     handle_eviction(core, Level::L1,
-                    core.l1->fill(line, FillOrigin::SwPrefetch), now);
+                    core.l1.fill(line, FillOrigin::SwPrefetch), now);
   }
   core.pending.insert(line, ready);
 }

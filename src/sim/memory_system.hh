@@ -13,8 +13,8 @@
 // L2/LLC on the way out), so NT prefetches never pollute shared levels.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/cache.hh"
@@ -60,17 +60,23 @@ struct CoreMemStats {
 /// table of (line, ready-cycle). Collisions overwrite — the table is a
 /// timing hint, and a dropped entry only makes one late prefetch look
 /// punctual. Far cheaper than a hash map on the per-access hot path.
+///
+/// The table also records the latest ready cycle it holds: once `now` has
+/// reached it every fill has arrived, so a probe answers 0 without touching
+/// the 256 KB table (exact: no entry can be later than the watermark).
 class PendingLines {
  public:
   void insert(Addr line, Cycle ready) {
     Entry& e = entries_[slot(line)];
     e.line = line;
     e.ready = ready;
+    latest_ready_ = std::max(latest_ready_, ready);
   }
 
   /// Remaining cycles until an in-flight fill of `line` completes (0 if not
   /// pending or already arrived).
   Cycle remaining(Addr line, Cycle now) const {
+    if (latest_ready_ <= now) return 0;
     const Entry& e = entries_[slot(line)];
     if (e.line != line || e.ready <= now) return 0;
     return e.ready - now;
@@ -89,6 +95,7 @@ class PendingLines {
     return (line * 0x9e3779b97f4a7c15ULL) >> 50;
   }
   std::vector<Entry> entries_ = std::vector<Entry>(kSlots);
+  Cycle latest_ready_ = 0;
 };
 
 class MemorySystem {
@@ -112,22 +119,25 @@ class MemorySystem {
   const CoreMemStats& core_stats(int core) const { return cores_[core].stats; }
   const DramStats& dram_stats() const { return dram_.stats(); }
   const HwPrefetcherStats& hw_prefetcher_stats(int core) const {
-    return cores_[core].hw_prefetcher->stats();
+    return cores_[core].hw_prefetcher.stats();
   }
   const MachineConfig& config() const { return config_; }
   int num_cores() const { return static_cast<int>(cores_.size()); }
 
   /// Direct cache handles for tests.
-  SetAssocCache& l1(int core) { return *cores_[core].l1; }
-  SetAssocCache& l2(int core) { return *cores_[core].l2; }
-  SetAssocCache& llc() { return *llc_; }
+  SetAssocCache& l1(int core) { return cores_[core].l1; }
+  SetAssocCache& l2(int core) { return cores_[core].l2; }
+  SetAssocCache& llc() { return llc_; }
   DramChannel& dram() { return dram_; }
 
  private:
   struct CoreState {
-    std::unique_ptr<SetAssocCache> l1;
-    std::unique_ptr<SetAssocCache> l2;
-    std::unique_ptr<HwPrefetcher> hw_prefetcher;
+    explicit CoreState(const MachineConfig& config)
+        : l1(config.l1), l2(config.l2), hw_prefetcher(config.hw_prefetcher) {}
+
+    SetAssocCache l1;
+    SetAssocCache l2;
+    HwPrefetcher hw_prefetcher;
     PendingLines pending;
     CoreMemStats stats;
   };
@@ -143,7 +153,7 @@ class MemorySystem {
 
   MachineConfig config_;
   DramChannel dram_;
-  std::unique_ptr<SetAssocCache> llc_;
+  SetAssocCache llc_;
   std::vector<CoreState> cores_;
   std::vector<Addr> hw_candidates_;  // scratch, avoids per-access allocation
 };

@@ -3,78 +3,45 @@
 namespace re::workloads {
 
 ProgramCursor::ProgramCursor(const Program& program) : program_(&program) {
-  state_.resize(program.loops.size());
-  seeds_.resize(program.loops.size());
-  for (std::size_t l = 0; l < program.loops.size(); ++l) {
-    state_[l].resize(program.loops[l].body.size());
-    seeds_[l].resize(program.loops[l].body.size());
-    for (std::size_t i = 0; i < program.loops[l].body.size(); ++i) {
-      seeds_[l][i] = mix64(program.seed ^ (program.loops[l].body[i].pc *
-                                           0x9e3779b97f4a7c15ULL));
-      // Distinct initial walk state per instruction so pointer chases over
-      // the same footprint do not follow identical paths.
-      state_[l][i].walk_state = seeds_[l][i] | 1;
+  for (const Loop& loop : program.loops) {
+    if (loop.body.empty() || loop.iterations == 0) continue;
+    LoopSpan span;
+    span.begin = insts_.size();
+    span.iterations = loop.iterations;
+    for (const StaticInst& inst : loop.body) {
+      insts_.push_back(&inst);
+      // Distinct seed per instruction so pointer chases over the same
+      // footprint do not follow identical paths.
+      generators_.emplace_back(
+          inst.pattern,
+          mix64(program.seed ^ (inst.pc * 0x9e3779b97f4a7c15ULL)));
     }
+    span.end = insts_.size();
+    loops_.push_back(span);
   }
-  skip_empty_loops();
+  reset();
 }
 
-void ProgramCursor::skip_empty_loops() {
-  while (loop_ < program_->loops.size() &&
-         (program_->loops[loop_].body.empty() ||
-          program_->loops[loop_].iterations == 0)) {
-    ++loop_;
-  }
-  if (loop_ >= program_->loops.size()) {
-    ++rep_;
+void ProgramCursor::end_of_body() {
+  const LoopSpan& loop = loops_[loop_];
+  inst_ = loop.begin;
+  if (++iter_ < loop.iterations) return;
+  iter_ = 0;
+  if (++loop_ == loops_.size()) {
     loop_ = 0;
-    if (rep_ >= program_->outer_reps || program_->loops.empty()) {
-      finished_ = true;
-      return;
-    }
-    skip_empty_loops();
+    finished_ = ++rep_ >= program_->outer_reps;
   }
-}
-
-std::optional<AccessEvent> ProgramCursor::next() {
-  if (finished_) {
-    reset();
-    return std::nullopt;
-  }
-
-  const Loop& loop = program_->loops[loop_];
-  const StaticInst& inst = loop.body[inst_];
-  AccessEvent event;
-  event.inst = &inst;
-  event.addr = next_address(inst.pattern, state_[loop_][inst_],
-                            seeds_[loop_][inst_]);
-  ++refs_done_;
-
-  if (++inst_ >= loop.body.size()) {
-    inst_ = 0;
-    if (++iter_ >= loop.iterations) {
-      iter_ = 0;
-      ++loop_;
-      skip_empty_loops();
-    }
-  }
-  return event;
+  inst_ = loops_[loop_].begin;
 }
 
 void ProgramCursor::reset() {
-  for (std::size_t l = 0; l < state_.size(); ++l) {
-    for (std::size_t i = 0; i < state_[l].size(); ++i) {
-      state_[l][i] = PatternState{};
-      state_[l][i].walk_state = seeds_[l][i] | 1;
-    }
-  }
+  for (AddressGenerator& generator : generators_) generator.reset();
   rep_ = 0;
   loop_ = 0;
   iter_ = 0;
-  inst_ = 0;
+  inst_ = loops_.empty() ? 0 : loops_[0].begin;
   refs_done_ = 0;
-  finished_ = false;
-  skip_empty_loops();
+  finished_ = loops_.empty() || program_->outer_reps == 0;
 }
 
 }  // namespace re::workloads

@@ -393,13 +393,16 @@ Program parse_program(const std::string& text) {
     }
 
     program.loops.back().body.push_back(std::move(inst));
-    // total_references() = reps x sum(iterations x body size) must fit.
-    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    // total_references() = reps x sum(iterations x body size) must stay
+    // within the budget; each step is checked before it could overflow.
     const std::uint64_t iterations = program.loops.back().iterations;
-    if (iterations > kMax - refs_per_rep ||
+    if (iterations > kMaxProgramReferences - refs_per_rep ||
         (program.outer_reps != 0 &&
-         refs_per_rep + iterations > kMax / program.outer_reps)) {
-      throw DslParseError(line_no, "reference count overflows 64 bits");
+         refs_per_rep + iterations >
+             kMaxProgramReferences / program.outer_reps)) {
+      throw DslParseError(line_no,
+                          "reference count exceeds the budget of " +
+                              std::to_string(kMaxProgramReferences));
     }
     refs_per_rep += iterations;
   }

@@ -30,15 +30,30 @@
 // Domain checks (DslParseError, never a truncated or wrapped value):
 // footprint, node, element and len must be positive; irregular, node,
 // element, len, revisits and compute must fit in 32 bits; the program's
-// reference count (reps x loop iterations x body size) must fit in 64.
+// reference count (reps x loop iterations x body size) must not exceed
+// kMaxProgramReferences.
+//
+// The reference budget does two jobs. It bounds the work of any parsed
+// program (`repf run` on it ends), and it bounds every pattern's iteration
+// index i below 2^32. The compiled generators (generator.hh) never
+// multiply: each linear offset advances by (stride mod footprint) with one
+// conditional subtract, which equals (stride x i) mod footprint exactly,
+// with no int64 overflow in either the counters or the offsets, for every
+// i the budget admits.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "workloads/program.hh"
 
 namespace re::workloads {
+
+/// Most dynamic references one parsed program may make in a full run:
+/// 2^32, over 4000x the suite's largest model (~10^6 references).
+inline constexpr std::uint64_t kMaxProgramReferences = std::uint64_t{1}
+                                                        << 32;
 
 /// Parse error with 1-based line number context.
 class DslParseError : public std::runtime_error {

@@ -1,104 +1,9 @@
 #include "workloads/program.hh"
 
-#include <algorithm>
-#include <cstdlib>
+#include <type_traits>
 #include <utility>
 
 namespace re::workloads {
-
-namespace {
-
-Addr wrap(Addr base, std::int64_t offset, std::uint64_t footprint) {
-  if (footprint == 0) return base;
-  // Proper Euclidean modulo so negative strides walk backwards through the
-  // footprint instead of underflowing.
-  std::int64_t m = offset % static_cast<std::int64_t>(footprint);
-  if (m < 0) m += static_cast<std::int64_t>(footprint);
-  return base + static_cast<Addr>(m);
-}
-
-struct PatternVisitor {
-  PatternState& state;
-  std::uint64_t seed;
-
-  Addr operator()(const StreamPattern& p) const {
-    const std::uint64_t i = state.iteration++;
-    return wrap(p.base, p.stride * static_cast<std::int64_t>(i), p.footprint);
-  }
-
-  Addr operator()(const StridedPattern& p) const {
-    const std::uint64_t i = state.iteration++;
-    if (p.irregular_ppm > 0 &&
-        mix64(seed ^ (i * 0x9e3779b97f4a7c15ULL)) % 1000000 < p.irregular_ppm) {
-      // Restart the stream at a pseudo-random origin within the footprint.
-      state.walk_state = mix64(seed ^ i) % (p.footprint ? p.footprint : 1);
-    }
-    return wrap(p.base + state.walk_state,
-                p.stride * static_cast<std::int64_t>(i), p.footprint);
-  }
-
-  Addr operator()(const PointerChasePattern& p) const {
-    ++state.iteration;
-    std::uint64_t x = state.walk_state ^ seed;
-    // xorshift64 walk; every step lands on a node-aligned slot.
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    state.walk_state = x;
-    const std::uint64_t slots =
-        p.footprint / (p.node_size ? p.node_size : 1);
-    if (slots == 0) return p.base;
-    return p.base + (x % slots) * p.node_size;
-  }
-
-  Addr operator()(const GatherPattern& p) const {
-    const std::uint64_t i = state.iteration++;
-    const std::uint64_t slots =
-        p.footprint / (p.element_size ? p.element_size : 1);
-    if (slots == 0) return p.base;
-    return p.base + (mix64(seed ^ i) % slots) * p.element_size;
-  }
-
-  Addr operator()(const ShortStreamPattern& p) const {
-    const std::uint64_t i = state.iteration++;
-    const std::uint64_t run = i / p.stream_len;
-    const std::uint64_t pos = i % p.stream_len;
-    const std::uint64_t origin =
-        p.footprint ? mix64(seed ^ (run * 0x2545f4914f6cdd1dULL)) % p.footprint
-                    : 0;
-    return wrap(p.base + origin, p.stride * static_cast<std::int64_t>(pos),
-                p.footprint);
-  }
-
-  Addr operator()(const HotBufferPattern& p) const {
-    const std::uint64_t i = state.iteration++;
-    return wrap(p.base, p.stride * static_cast<std::int64_t>(i), p.footprint);
-  }
-
-  Addr operator()(const BlockedPattern& p) const {
-    const std::uint64_t i = state.iteration++;
-    const std::uint64_t stride_mag = static_cast<std::uint64_t>(
-        p.stride < 0 ? -p.stride : p.stride);
-    const std::uint64_t elems =
-        stride_mag ? std::max<std::uint64_t>(1, p.block_bytes / stride_mag)
-                   : 1;
-    const std::uint64_t pos = i % elems;
-    const std::uint64_t sweep = i / elems;
-    const std::uint64_t block =
-        sweep / std::max<std::uint32_t>(1, p.revisits);
-    const Addr block_off =
-        p.footprint ? (block * p.block_bytes) % p.footprint : 0;
-    return wrap(p.base + block_off,
-                p.stride * static_cast<std::int64_t>(pos), p.block_bytes);
-  }
-};
-
-}  // namespace
-
-Addr next_address(const AccessPattern& pattern, PatternState& state,
-                  std::uint64_t seed) {
-  return std::visit(PatternVisitor{state, seed}, pattern);
-}
 
 bool pattern_is_regular(const AccessPattern& pattern) {
   return std::visit(

@@ -95,21 +95,12 @@ struct BlockedPattern {
   std::uint32_t revisits = 4;  // sweeps per block before advancing
 };
 
+/// One static instruction's address pattern. AddressGenerator
+/// (workloads/generator.hh) compiles it into the stream of addresses.
 using AccessPattern =
     std::variant<StreamPattern, StridedPattern, PointerChasePattern,
                  GatherPattern, ShortStreamPattern, HotBufferPattern,
                  BlockedPattern>;
-
-/// Runtime iteration state of one static instruction's pattern.
-struct PatternState {
-  std::uint64_t iteration = 0;
-  std::uint64_t walk_state = 0;  // for PointerChase / ShortStream origins
-};
-
-/// Generate the next address for `pattern`, advancing `state`.
-/// `seed` decorrelates instructions that share a pattern type.
-Addr next_address(const AccessPattern& pattern, PatternState& state,
-                  std::uint64_t seed);
 
 /// True if the pattern has a dominant compile-time-ish stride (used only by
 /// tests to cross-check the stride analysis, never by the optimizer).

@@ -220,30 +220,62 @@ TEST(DslParse, ZeroStreamLengthIsRejected) {
 }
 
 TEST(DslParse, ReferenceCountThatOverflowsIsRejected) {
-  // 2^61 iterations x 2 instructions x 4 reps = 2^64 references; the
-  // error names the instruction that pushes the count past 64 bits.
+  // 2^61 iterations x 2 instructions x 4 reps = 2^64 references: past the
+  // reference budget already at the first instruction, so the count is
+  // never formed.
   EXPECT_EQ(error_line("program x reps=4\n"
                        "loop 2305843009213693952 {\n"
                        "  pc1: stream stride=8 footprint=1K\n"
                        "  pc2: stream stride=8 footprint=1K\n"
                        "}\n"),
-            4);
+            3);
   // Across loops too.
   EXPECT_EQ(error_line("program x\n"
-                       "loop 18446744073709551615 {\n"
+                       "loop 1 {\n"
                        "  pc1: stream stride=8 footprint=1K\n"
                        "}\n"
-                       "loop 1 {\n"
+                       "loop 18446744073709551615 {\n"
                        "  pc2: stream stride=8 footprint=1K\n"
                        "}\n"),
             6);
-  // Exactly 2^64 - 1 references still parses.
-  const Program p = parse_program(
-      "program x reps=3\n"
-      "loop 6148914691236517205 {\n"
+}
+
+TEST(DslParse, ReferenceBudgetIsEnforced) {
+  // reps = 2^64 - 1 with one one-instruction loop fits in 64 bits but would
+  // pin a core indefinitely; the budget rejects it at the instruction.
+  EXPECT_EQ(error_line("program p reps=18446744073709551615\n"
+                       "loop 1 {\n"
+                       "  pc1: stream stride=8 footprint=1K\n"
+                       "}\n"),
+            3);
+  // One reference past the budget, split over reps, loops and bodies.
+  const std::string over_by_one =
+      "program x reps=2\n"
+      "loop 1073741824 {\n"
       "  pc1: stream stride=8 footprint=1K\n"
+      "}\n"
+      "loop 1073741823 {\n"
+      "  pc2: stream stride=8 footprint=1K\n"
+      "}\n"
+      "loop 1 {\n"
+      "  pc3: stream stride=8 footprint=1K\n"
+      "  pc4: stream stride=8 footprint=1K\n"
+      "}\n";
+  EXPECT_EQ(error_line(over_by_one), 10);
+  // Exactly the budget still parses.
+  const Program p = parse_program(
+      "program x reps=2\n"
+      "loop 1073741824 {\n"
+      "  pc1: stream stride=8 footprint=1K\n"
+      "  pc2: stream stride=8 footprint=1K\n"
       "}\n");
-  EXPECT_EQ(p.total_references(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(p.total_references(), kMaxProgramReferences);
+  try {
+    parse_program(over_by_one);
+  } catch (const DslParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("budget"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DslPrint, RoundTripsStructure) {

@@ -1,5 +1,7 @@
 #include "workloads/program.hh"
 
+#include "workloads/generator.hh"
+
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,28 +12,28 @@ namespace {
 
 TEST(StreamPattern, AdvancesByStrideAndWraps) {
   const AccessPattern p = StreamPattern{1000, 16, 64};
-  PatternState state;
-  EXPECT_EQ(next_address(p, state, 1), 1000u);
-  EXPECT_EQ(next_address(p, state, 1), 1016u);
-  EXPECT_EQ(next_address(p, state, 1), 1032u);
-  EXPECT_EQ(next_address(p, state, 1), 1048u);
-  EXPECT_EQ(next_address(p, state, 1), 1000u);  // wrapped
+  AddressGenerator gen(p, 1);
+  EXPECT_EQ(gen.next(), 1000u);
+  EXPECT_EQ(gen.next(), 1016u);
+  EXPECT_EQ(gen.next(), 1032u);
+  EXPECT_EQ(gen.next(), 1048u);
+  EXPECT_EQ(gen.next(), 1000u);  // wrapped
 }
 
 TEST(StreamPattern, NegativeStrideWalksBackwards) {
   const AccessPattern p = StreamPattern{1000, -16, 64};
-  PatternState state;
-  EXPECT_EQ(next_address(p, state, 1), 1000u);
-  EXPECT_EQ(next_address(p, state, 1), 1048u);  // Euclidean wrap
-  EXPECT_EQ(next_address(p, state, 1), 1032u);
+  AddressGenerator gen(p, 1);
+  EXPECT_EQ(gen.next(), 1000u);
+  EXPECT_EQ(gen.next(), 1048u);  // Euclidean wrap
+  EXPECT_EQ(gen.next(), 1032u);
 }
 
 TEST(StridedPattern, NoJumpsWithoutIrregularity) {
   const AccessPattern p = StridedPattern{0, 8, 1 << 20, 0};
-  PatternState state;
-  Addr prev = next_address(p, state, 3);
+  AddressGenerator gen(p, 3);
+  Addr prev = gen.next();
   for (int i = 1; i < 100; ++i) {
-    const Addr cur = next_address(p, state, 3);
+    const Addr cur = gen.next();
     EXPECT_EQ(cur - prev, 8u);
     prev = cur;
   }
@@ -39,11 +41,11 @@ TEST(StridedPattern, NoJumpsWithoutIrregularity) {
 
 TEST(StridedPattern, IrregularityCausesJumps) {
   const AccessPattern p = StridedPattern{0, 8, 1 << 20, 200000};  // 20%
-  PatternState state;
-  Addr prev = next_address(p, state, 3);
+  AddressGenerator gen(p, 3);
+  Addr prev = gen.next();
   int jumps = 0;
   for (int i = 1; i < 1000; ++i) {
-    const Addr cur = next_address(p, state, 3);
+    const Addr cur = gen.next();
     if (cur != prev + 8) ++jumps;
     prev = cur;
   }
@@ -53,10 +55,9 @@ TEST(StridedPattern, IrregularityCausesJumps) {
 
 TEST(PointerChasePattern, StaysNodeAlignedWithinFootprint) {
   const AccessPattern p = PointerChasePattern{4096, 1 << 16, 64};
-  PatternState state;
-  state.walk_state = 12345;
+  AddressGenerator gen(p, 9);
   for (int i = 0; i < 1000; ++i) {
-    const Addr a = next_address(p, state, 9);
+    const Addr a = gen.next();
     EXPECT_GE(a, 4096u);
     EXPECT_LT(a, 4096u + (1 << 16));
     EXPECT_EQ((a - 4096u) % 64, 0u);
@@ -65,44 +66,44 @@ TEST(PointerChasePattern, StaysNodeAlignedWithinFootprint) {
 
 TEST(PointerChasePattern, WalkVisitsManyDistinctNodes) {
   const AccessPattern p = PointerChasePattern{0, 1 << 20, 64};
-  PatternState state;
-  state.walk_state = 99;
+  AddressGenerator gen(p, 9);
   std::unordered_set<Addr> seen;
-  for (int i = 0; i < 2000; ++i) seen.insert(next_address(p, state, 9));
+  for (int i = 0; i < 2000; ++i) seen.insert(gen.next());
   EXPECT_GT(seen.size(), 1800u);  // near-uniform walk
 }
 
 TEST(GatherPattern, UniformCoverage) {
   const AccessPattern p = GatherPattern{0, 64 * 1024, 8};
-  PatternState state;
+  AddressGenerator gen(p, 5);
   std::unordered_set<Addr> lines;
   for (int i = 0; i < 20000; ++i) {
-    lines.insert(line_of(next_address(p, state, 5)));
+    lines.insert(line_of(gen.next()));
   }
   EXPECT_GT(lines.size(), 900u);  // 1024 lines, near-complete coverage
 }
 
 TEST(GatherPattern, DeterministicInIterationIndex) {
   const AccessPattern p = GatherPattern{0, 1 << 16, 8};
-  PatternState s1, s2;
+  AddressGenerator s1(p, 5);
+  AddressGenerator s2(p, 5);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(next_address(p, s1, 5), next_address(p, s2, 5));
+    EXPECT_EQ(s1.next(), s2.next());
   }
 }
 
 TEST(ShortStreamPattern, RunsAreStrided) {
   const AccessPattern p = ShortStreamPattern{0, 16, 8, 1 << 20};
-  PatternState state;
-  Addr prev = next_address(p, state, 7);
+  AddressGenerator gen(p, 7);
+  Addr prev = gen.next();
   int in_run_strides = 0;
   for (int i = 1; i < 8; ++i) {
-    const Addr cur = next_address(p, state, 7);
+    const Addr cur = gen.next();
     if (cur == prev + 16) ++in_run_strides;
     prev = cur;
   }
   EXPECT_EQ(in_run_strides, 7);  // whole first run is strided
   // Next access starts a new run at a different origin.
-  const Addr new_run = next_address(p, state, 7);
+  const Addr new_run = gen.next();
   EXPECT_NE(new_run, prev + 16);
 }
 
