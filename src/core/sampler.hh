@@ -7,10 +7,27 @@
 // identical in kind. Because our workload models execute ~10^6 references
 // instead of SPEC's ~10^11, the default period is scaled so the *number of
 // samples per static instruction* lands in the same regime as the paper.
+//
+// The per-reference cost is what makes the premise (near-free sampling)
+// hold, so a reference with no open watch touches no hash table:
+//  - Execution counts are dense. Each PC is interned once, to an index
+//    into a per-PC state array; a direct-mapped memo in front of the
+//    intern table turns the per-reference lookup into one multiply, one
+//    compare and one increment. A window's counts are emitted into
+//    `Profile::pc_execution_counts` in first-execution order, the order in
+//    which a per-reference map increment would have inserted them.
+//  - A stride breakpoint lives in its PC's dense state, so testing for one
+//    is a flag read on the state the count already loaded.
+//  - Line watchpoints stay in a hash map, since finish() and harvest()
+//    walk it in its own order, but a counting filter sits in front of it:
+//    per hash slot, the number of open watches whose line maps there. A
+//    reference whose slot counts zero has no watch and skips the lookup.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "core/profile.hh"
 #include "support/rng.hh"
@@ -60,10 +77,46 @@ class Sampler {
     Pc first_pc = 0;
     std::uint64_t start_ref = 0;
   };
-  struct PcWatch {
-    Addr last_addr = 0;
-    std::uint64_t start_ref = 0;
+  /// Everything kept per interned PC.
+  struct PcState {
+    Pc pc = 0;
+    bool watched = false;  // a stride breakpoint is open
+    std::uint64_t executions = 0;  // in the current window
+    Addr last_addr = 0;            // breakpoint: the armed execution's
+    std::uint64_t start_ref = 0;   // address and reference number
   };
+  using LineWatches = std::unordered_map<Addr, LineWatch>;
+  struct PcMemoSlot {
+    Pc pc = 0;
+    std::uint32_t index = 0;
+  };
+  static constexpr int kPcMemoBits = 8;
+  static constexpr int kLineFilterBits = 12;
+
+  static std::size_t memo_slot(Pc pc) {
+    return (pc * 0x9E3779B1u) >> (32 - kPcMemoBits);
+  }
+  static std::size_t filter_slot(Addr line) {
+    return (line * 0x9E3779B97F4A7C15ull) >> (64 - kLineFilterBits);
+  }
+
+  /// The index of `pc`'s state, interning it on first sight.
+  std::uint32_t index_of(Pc pc) {
+    PcMemoSlot& slot = pc_memo_[memo_slot(pc)];
+    if (slot.pc != pc) [[unlikely]] {
+      slot = PcMemoSlot{pc, intern(pc)};
+    }
+    return slot.index;
+  }
+  std::uint32_t intern(Pc pc);
+
+  /// Close the watch on `line`, if one is open (filter slot non-zero).
+  void close_line_watch(Addr line, Pc pc);
+  LineWatches::iterator erase_line_watch(LineWatches::iterator it);
+  void clear_watches();
+  /// Move the window's execution counts and totals into profile_ and hand
+  /// it out, leaving an empty profile.
+  Profile take_window();
 
   SamplerConfig config_;
   Rng rng_;
@@ -71,8 +124,17 @@ class Sampler {
   std::uint64_t ref_count_ = 0;
   std::uint64_t window_start_ref_ = 0;  // harvest() rebases positions here
   std::uint64_t next_sample_at_ = 0;
-  std::unordered_map<Addr, LineWatch> line_watches_;
-  std::unordered_map<Pc, PcWatch> pc_watches_;
+  LineWatches line_watches_;
+  // Open line watches per filter_slot().
+  std::vector<std::uint32_t> line_filter_ =
+      std::vector<std::uint32_t>(std::size_t{1} << kLineFilterBits);
+  // Interned PCs: state by index, the index of each PC, a memo of recent
+  // lookups and the indices counted this window in first-execution order.
+  // PC 0 is interned at construction so every memo slot starts valid.
+  std::vector<PcState> pcs_;
+  std::unordered_map<Pc, std::uint32_t> pc_index_;
+  std::array<PcMemoSlot, std::size_t{1} << kPcMemoBits> pc_memo_{};
+  std::vector<std::uint32_t> window_pcs_;
 };
 
 /// Profile one full run of `program` (optionally capped at `max_refs`).

@@ -6,24 +6,35 @@
 // Routing them through one entry point guarantees that "the trace" means
 // the identical (pc, addr) sequence everywhere: an estimator validated by
 // verify::ExactLruModel is validated against the very stream it sampled.
+//
+// The replay is a template over the observer, so the per-reference call
+// inlines instead of going through a std::function.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "support/types.hh"
+#include "workloads/cursor.hh"
 #include "workloads/program.hh"
 
 namespace re::core {
 
-/// Observer of one memory reference, in program order.
-using TraceObserver = std::function<void(Pc pc, Addr addr)>;
-
 /// Replay one full run of `program` (optionally capped at `max_refs`
-/// references), invoking `observer` for every access. Returns the number of
-/// references replayed.
+/// references), calling `observer(pc, addr)` for every access, in program
+/// order. Returns the number of references replayed.
+template <typename Observer>
 std::uint64_t replay_program(const workloads::Program& program,
-                             const TraceObserver& observer,
-                             std::uint64_t max_refs = ~std::uint64_t{0});
+                             Observer&& observer,
+                             std::uint64_t max_refs = ~std::uint64_t{0}) {
+  workloads::ProgramCursor cursor(program);
+  std::uint64_t refs = 0;
+  while (refs < max_refs) {
+    const auto event = cursor.next();
+    if (!event) break;
+    observer(event->inst->pc, event->addr);
+    ++refs;
+  }
+  return refs;
+}
 
 }  // namespace re::core

@@ -5,15 +5,25 @@
 // been touched by a demand access since — the basis of the useless-prefetch
 // accounting behind the paper's off-chip traffic results.
 //
-// Layout: each set is a run of `ways` tags, a parallel run of ages (the
-// tick of the way's last use) and a parallel run of flag bytes. An invalid
-// way holds the sentinel tag ~0 (never a line number: lines are addresses
-// shifted right by 6) and age 0, below every valid age. A probe compares
-// every way of the set without branching and takes the first match; the
-// LRU victim is the first way of minimum age, so "first invalid way, else
-// the least recently used" falls out of one branch-free scan. A probe
-// gathers its compares into a 64-bit hit mask, hence the associativity
-// bound.
+// Layout: each set is a run of `ways` 8-byte tags and parallel runs of
+// one-byte recency ranks and flag bytes; sets of kPartialTagMinWays or more
+// ways add a run of one-byte partial tags. That is 10 bytes per way (11
+// with partial tags), down from 17 when each way kept a 64-bit age.
+//  - An invalid way holds the sentinel tag ~0 (never a line number: lines
+//    are addresses shifted right by 6) and partial tag 0.
+//  - The ranks of a set are a permutation of 0..ways-1, 0 the most recently
+//    used. Invalid ways hold the bottom ranks, the lowest-numbered invalid
+//    way the very last, so the victim — the way ranked ways-1 — is the
+//    first invalid way, else the least recently used one. A hit or fill
+//    ranks the way 0 and ages every more recent way by one; with SSE2 that
+//    is a few byte-wise compares, a subtract and one store per 16 ways.
+//  - A partial tag is the low byte of the tag above the set index, with 0
+//    reserved for invalid (a byte of 0 is stored as 1). A wide probe
+//    compares the partial tags 16 ways per instruction and reads a full tag
+//    only where the byte matched.
+// Narrow sets compare every full tag into a 64-bit hit mask without
+// branching and take the first match. Probes gather their compares into a
+// 64-bit mask, hence the associativity bound.
 #pragma once
 
 #include <bit>
@@ -50,6 +60,8 @@ class SetAssocCache {
   /// Widest set the probe's 64-bit hit mask covers; also the way number a
   /// probe returns on a miss.
   static constexpr std::uint32_t kMaxAssociativity = 64;
+  /// Sets at least this wide are probed through one-byte partial tags.
+  static constexpr std::uint32_t kPartialTagMinWays = 16;
 
   /// Throws std::invalid_argument for an empty geometry, a set count that
   /// is not a power of two, or more than kMaxAssociativity ways.
@@ -62,7 +74,7 @@ class SetAssocCache {
     const std::size_t base = set_base(line);
     const std::uint32_t way = find(base, line);
     if (way >= ways_) return false;
-    ages_[base + way] = ++tick_;
+    promote(&ranks_[base], ways_, way);
     flags_[base + way] |= static_cast<std::uint8_t>(
         (demand ? kTouched : 0) | (dirty ? kDirty : 0));
     return true;
@@ -108,6 +120,87 @@ class SetAssocCache {
     return static_cast<std::size_t>(line & (sets_ - 1)) * ways_;
   }
 
+  /// Partial tag of `line`: the low tag byte, never 0.
+  std::uint8_t partial_tag(Addr line) const {
+    const auto byte = static_cast<std::uint8_t>(line >> set_shift_);
+    return static_cast<std::uint8_t>(byte + (byte == 0));
+  }
+
+  /// Bit w set where bytes[w] == key, for w < ways. With SSE2, 16 bytes
+  /// are compared per instruction (a width that is not a multiple of 16
+  /// re-reads an overlapping last block) and 8 take one 8-byte compare.
+  static std::uint64_t match_bytes(const std::uint8_t* bytes,
+                                   std::uint32_t ways, std::uint8_t key) {
+    std::uint64_t hits = 0;
+#if defined(__SSE2__)
+    const __m128i k = _mm_set1_epi8(static_cast<char>(key));
+    const auto block = [&](__m128i v) {
+      return static_cast<std::uint64_t>(
+          _mm_movemask_epi8(_mm_cmpeq_epi8(v, k)));
+    };
+    if (ways >= 16) {
+      std::uint32_t w = 0;
+      for (; w + 16 <= ways; w += 16) {
+        hits |= block(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i*>(bytes + w)))
+                << w;
+      }
+      if (w < ways) {
+        hits |= block(_mm_loadu_si128(
+                    reinterpret_cast<const __m128i*>(bytes + ways - 16)))
+                << (ways - 16);
+      }
+      return hits;
+    }
+    if (ways == 8) {
+      return block(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(bytes))) &
+             0xFF;
+    }
+#endif
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      hits |= static_cast<std::uint64_t>(bytes[w] == key) << w;
+    }
+    return hits;
+  }
+
+  /// Rank `way` most recently used: every way more recent than it ages by
+  /// one rank. Two ways just swap. With SSE2, widths that are a multiple
+  /// of 8 update 16 (or a last 8) ranks per compare and store.
+  static void promote(std::uint8_t* ranks, std::uint32_t ways,
+                      std::uint32_t way) {
+    if (ways == 2) {
+      ranks[way] = 0;
+      ranks[way ^ 1] = 1;
+      return;
+    }
+    const std::uint8_t rank = ranks[way];
+#if defined(__SSE2__)
+    if (ways % 8 == 0) {
+      // Ranks stay below 64, so the signed byte compare is exact; the one
+      // rank equal to `rank` is the way's own and becomes 0.
+      const __m128i key = _mm_set1_epi8(static_cast<char>(rank));
+      const auto update = [&](__m128i v) {
+        return _mm_andnot_si128(_mm_cmpeq_epi8(v, key),
+                                _mm_sub_epi8(v, _mm_cmplt_epi8(v, key)));
+      };
+      std::uint32_t w = 0;
+      for (; w + 16 <= ways; w += 16) {
+        auto* p = reinterpret_cast<__m128i*>(ranks + w);
+        _mm_storeu_si128(p, update(_mm_loadu_si128(p)));
+      }
+      if (w < ways) {
+        auto* p = reinterpret_cast<__m128i*>(ranks + w);
+        _mm_storel_epi64(p, update(_mm_loadl_epi64(p)));
+      }
+      return;
+    }
+#endif
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      ranks[w] = static_cast<std::uint8_t>(ranks[w] + (ranks[w] < rank));
+    }
+    ranks[way] = 0;
+  }
+
   /// Way of the first tag equal to `line` among `ways` tags, or
   /// kMaxAssociativity on a miss: every way is compared into a 64-bit hit
   /// mask without branching, and the lowest set bit is the first match.
@@ -137,6 +230,22 @@ class SetAssocCache {
     return static_cast<std::uint32_t>(std::countr_zero(hits));
   }
 
+  /// Way of the first valid tag equal to `line` among `ways` ways at
+  /// `base`, or kMaxAssociativity on a miss: partial tags are matched
+  /// first and each candidate's full tag confirms it. An invalid way's
+  /// partial tag 0 never matches.
+  std::uint32_t find_partial(std::size_t base, std::uint32_t ways,
+                             Addr line) const {
+    std::uint64_t candidates =
+        match_bytes(&partial_tags_[base], ways, partial_tag(line));
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const auto way =
+          static_cast<std::uint32_t>(std::countr_zero(candidates));
+      if (tags_[base + way] == line) return way;
+    }
+    return kMaxAssociativity;
+  }
+
   /// Way holding `line` in the set at `base`, or >= ways_ on a miss. The
   /// machines' associativities get a compile-time width the compiler
   /// unrolls.
@@ -145,22 +254,30 @@ class SetAssocCache {
     switch (ways_) {
       case 2: return find_in(tags, 2, line);
       case 8: return find_in(tags, 8, line);
-      case 16: return find_in(tags, 16, line);
-      case 24: return find_in(tags, 24, line);
-      default: return find_in(tags, ways_, line);
+      case 16: return find_partial(base, 16, line);
+      case 24: return find_partial(base, 24, line);
+      default:
+        return ways_ >= kPartialTagMinWays ? find_partial(base, ways_, line)
+                                           : find_in(tags, ways_, line);
     }
   }
 
-  /// The first way of minimum age in the set at `base`.
-  std::uint32_t victim(std::size_t base) const;
+  /// fill() for sets of W ways, or of ways_ ways if W is 0.
+  template <std::uint32_t W>
+  std::optional<Eviction> fill_in(Addr line, FillOrigin origin, bool dirty);
+
+  /// Rank every set's ways as an empty set's: way w at ways-1-w.
+  void reset_ranks();
 
   std::uint64_t sets_;
   std::uint32_t ways_;
-  std::uint64_t tick_ = 0;
-  // sets_ * ways_ entries each, row-major by set.
+  int set_shift_;  // log2(sets_): the tag's offset in a line number
+  // sets_ * ways_ entries each, row-major by set; partial tags only for
+  // sets of kPartialTagMinWays or more ways.
   std::vector<Addr> tags_;
-  std::vector<std::uint64_t> ages_;
+  std::vector<std::uint8_t> ranks_;
   std::vector<std::uint8_t> flags_;
+  std::vector<std::uint8_t> partial_tags_;
 };
 
 }  // namespace re::sim

@@ -28,13 +28,13 @@ struct HwPrefetcherConfig {
 
   // PC-indexed stride prefetcher.
   bool pc_stride = true;
-  std::uint32_t stride_table_entries = 256;
+  std::uint32_t stride_table_entries = 256;  // 0 or a power of two
   std::uint32_t stride_confidence_threshold = 2;
   std::uint32_t stride_degree = 4;  // lines fetched ahead on a trained PC
 
   // Region-based stream detector (next-line streams within 4 kB regions).
   bool stream = true;
-  std::uint32_t stream_table_entries = 64;
+  std::uint32_t stream_table_entries = 64;  // 0 or a power of two
   std::uint32_t stream_train_misses = 2;  // sequential misses to trigger
   std::uint32_t stream_degree = 4;        // lines fetched ahead per trigger
 

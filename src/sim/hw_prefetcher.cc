@@ -1,6 +1,8 @@
 #include "sim/hw_prefetcher.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "workloads/program.hh"  // mix64
 
@@ -9,15 +11,25 @@ namespace re::sim {
 namespace {
 constexpr Addr kRegionShift = 12;  // 4 kB stream-training regions
 
+/// Slot of `key` in a power-of-two table of `table_size` entries.
 std::size_t slot_for(std::uint64_t key, std::size_t table_size) {
-  return workloads::mix64(key) % table_size;
+  return workloads::mix64(key) & (table_size - 1);
+}
+
+std::uint32_t checked_table_size(std::uint32_t entries, const char* table) {
+  if ((entries & (entries - 1)) != 0) {
+    throw std::invalid_argument(std::string("hardware prefetcher ") + table +
+                                " table size must be 0 or a power of two");
+  }
+  return entries;
 }
 }  // namespace
 
 HwPrefetcher::HwPrefetcher(const HwPrefetcherConfig& config)
     : config_(config),
-      stride_table_(config.stride_table_entries),
-      stream_table_(config.stream_table_entries) {}
+      stride_table_(checked_table_size(config.stride_table_entries, "stride")),
+      stream_table_(
+          checked_table_size(config.stream_table_entries, "stream")) {}
 
 std::uint32_t HwPrefetcher::effective_degree(std::uint32_t configured,
                                              Cycle dram_queue_delay) {

@@ -31,6 +31,9 @@ struct HwPrefetcherStats {
 
 class HwPrefetcher {
  public:
+  /// Throws std::invalid_argument for a stride or stream table size that
+  /// is neither 0 (engine off) nor a power of two: slots are hashes masked
+  /// to the table size.
   explicit HwPrefetcher(const HwPrefetcherConfig& config);
 
   /// Observe one demand access that reached the L2 (i.e. missed L1).

@@ -64,9 +64,12 @@ struct CoreMemStats {
 /// The table also records the latest ready cycle it holds: once `now` has
 /// reached it every fill has arrived, so a probe answers 0 without touching
 /// the 256 KB table (exact: no entry can be later than the watermark).
+/// The table is allocated by the first insert: a run that never prefetches
+/// keeps the watermark at 0 and never reads it.
 class PendingLines {
  public:
   void insert(Addr line, Cycle ready) {
+    if (entries_.empty()) entries_.resize(kSlots);
     Entry& e = entries_[slot(line)];
     e.line = line;
     e.ready = ready;
@@ -94,7 +97,7 @@ class PendingLines {
   static std::size_t slot(Addr line) {
     return (line * 0x9e3779b97f4a7c15ULL) >> 50;
   }
-  std::vector<Entry> entries_ = std::vector<Entry>(kSlots);
+  std::vector<Entry> entries_;  // kSlots entries once allocated
   Cycle latest_ready_ = 0;
 };
 

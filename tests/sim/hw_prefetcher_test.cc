@@ -1,7 +1,9 @@
 #include "sim/hw_prefetcher.hh"
 
-#include <algorithm>
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <stdexcept>
 
 namespace re::sim {
 namespace {
@@ -35,6 +37,23 @@ TEST(HwPrefetcher, DisabledIssuesNothing) {
   HwPrefetcher pf(c);
   const auto out = observe_seq(pf, 1, {0, 64, 128, 192, 256}, false);
   EXPECT_TRUE(out.empty());
+}
+
+TEST(HwPrefetcher, RejectsTableSizesThatAreNotPowersOfTwo) {
+  for (const std::uint32_t entries : {0u, 1u, 2u, 64u, 256u}) {
+    HwPrefetcherConfig c = base_config();
+    c.stride_table_entries = entries;
+    c.stream_table_entries = entries;
+    EXPECT_NO_THROW(HwPrefetcher{c}) << entries;
+  }
+  for (const std::uint32_t entries : {3u, 100u, 255u, 257u}) {
+    HwPrefetcherConfig stride = base_config();
+    stride.stride_table_entries = entries;
+    EXPECT_THROW(HwPrefetcher{stride}, std::invalid_argument) << entries;
+    HwPrefetcherConfig stream = base_config();
+    stream.stream_table_entries = entries;
+    EXPECT_THROW(HwPrefetcher{stream}, std::invalid_argument) << entries;
+  }
 }
 
 TEST(HwPrefetcher, StrideEngineTrainsAfterConfidenceThreshold) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "sim/config.hh"
+#include "workloads/program.hh"
 
 using re::workloads::PrefetchHint;
 
@@ -30,6 +34,71 @@ TEST(PendingLines, CollisionOverwrites) {
   pending.insert(1, 1000);
   pending.insert(1, 2000);  // same line, refreshed
   EXPECT_EQ(pending.remaining(1, 0), 2000u);
+}
+
+TEST(PendingLines, EmptyTableHasNothingInFlight) {
+  const PendingLines pending;
+  for (const Addr line : {Addr{0}, Addr{100}, ~Addr{0}}) {
+    EXPECT_EQ(pending.remaining(line, 0), 0u);
+    EXPECT_FALSE(pending.in_flight(line, 0));
+  }
+}
+
+/// Drive `cores` cores through an interleaved demand-only stream (a
+/// strided sweep, a random gather and stores) and return every counter.
+std::vector<std::uint64_t> demand_only_stats(MachineConfig machine,
+                                             bool hw_prefetch) {
+  machine.hw_prefetcher.enabled = hw_prefetch;
+  constexpr int kCores = 2;
+  MemorySystem mem(machine, kCores);
+  Cycle now = 0;
+  for (std::uint64_t i = 0; i < 40000; ++i) {
+    const int core = static_cast<int>(i % kCores);
+    const Addr sweep = (i * 24) % (Addr{1} << 23);
+    const Addr gather = (workloads::mix64(i) % (Addr{1} << 24)) & ~Addr{7};
+    const bool gathers = i % 5 == 0;
+    now += 1 + mem.demand_load(core, gathers ? 2 : 1, gathers ? gather : sweep,
+                               now, /*serial_dependent=*/i % 7 == 0,
+                               /*is_store=*/i % 3 == 0);
+  }
+  std::vector<std::uint64_t> out = {now};
+  for (int c = 0; c < kCores; ++c) {
+    const CoreMemStats& s = mem.core_stats(c);
+    out.insert(out.end(),
+               {s.loads, s.stores, s.l1_hits, s.l2_hits, s.llc_hits,
+                s.dram_loads, s.hw_prefetch_dram_lines, s.late_prefetch_hits,
+                s.useless_hw_evictions, s.memory_stall_cycles});
+  }
+  const DramStats& d = mem.dram_stats();
+  out.insert(out.end(), {d.demand_lines, d.hw_prefetch_lines,
+                         d.writeback_lines});
+  return out;
+}
+
+TEST(MemorySystem, DemandOnlyRunsReportPinnedStats) {
+  // A run without the HW prefetcher never inserts into its pending-line
+  // table; with it, the first HW prefetch does. Both report the counters
+  // the simulator gave when every table was allocated up front.
+  const std::vector<std::uint64_t> amd = {
+      1492036, 20000, 6667, 3026, 20,    4185, 12769, 0, 0,    0,
+      803818,  20000, 6667, 3024, 21,    7162, 9793,  0, 0,    0,
+      648218,  22562, 0,    6003};
+  const std::vector<std::uint64_t> amd_hw = {
+      1105929, 20000, 6667, 3026, 6316,  6793, 3865,  9790, 237, 5120,
+      533823,  20000, 6667, 3024, 6235,  6886, 3855,  9791, 400, 5221,
+      532106,  7720,  19581, 7046};
+  const std::vector<std::uint64_t> intel = {
+      1320117, 20000, 6667, 3012, 11,    4248, 12729, 0, 0,    0,
+      708405,  20000, 6667, 3013, 6,     7218, 9763,  0, 0,    0,
+      571712,  22492, 0,    3574};
+  const std::vector<std::uint64_t> intel_hw = {
+      864574,  20000, 6667, 3012, 6392,  6769, 3827,  9824,  98, 4928,
+      429304,  20000, 6667, 3013, 6235,  6919, 3833,  11071, 84, 6485,
+      395270,  7660,  20895, 5499};
+  EXPECT_EQ(demand_only_stats(amd_phenom_ii(), false), amd);
+  EXPECT_EQ(demand_only_stats(amd_phenom_ii(), true), amd_hw);
+  EXPECT_EQ(demand_only_stats(intel_sandybridge(), false), intel);
+  EXPECT_EQ(demand_only_stats(intel_sandybridge(), true), intel_hw);
 }
 
 TEST(MemorySystem, ColdMissGoesToDram) {

@@ -2,8 +2,12 @@
 // per-set LRU list. Op streams replay the trace fuzzer's families as demand
 // loads, stores and prefetch probes (filling on a miss), interleaved with
 // random mark_dirty, invalidate, flush and far-line accesses. Every hit,
-// miss and Eviction field must match at each machine's L1/L2/LLC geometry
-// and at one way. Randomized via RE_TEST_SEED.
+// miss and Eviction field must match at each machine's L1/L2/LLC geometry,
+// at one way, at the 64-way bound and at widths with no specialised probe
+// (3, 12, 20 and 40 ways). Streams of lines that share a set and a partial
+// tag drive the wide probe's false-candidate path, and an invalidate-heavy
+// stream checks the rank order of invalid ways. Randomized via
+// RE_TEST_SEED.
 #include "verify/reference_cache.hh"
 
 #include <gtest/gtest.h>
@@ -37,6 +41,11 @@ std::vector<Geometry> geometries() {
     out.push_back({m.name + " LLC", m.llc});
     out.push_back({m.name + " L1 1-way", {m.l1.size_bytes, 1}});
   }
+  // Widths off the machines' list: scalar (3, 12) and runtime-width (20,
+  // 40) probes and rank updates, and the 64-way bound; 16 sets each.
+  for (const std::uint32_t ways : {3u, 12u, 20u, 40u, 64u}) {
+    out.push_back({std::to_string(ways) + "-way", {16 * ways * kLineSize, ways}});
+  }
   return out;
 }
 
@@ -64,10 +73,11 @@ void expect_same_eviction(const std::optional<sim::Eviction>& got,
   EXPECT_EQ(got->dirty, want->dirty) << where;
 }
 
-/// Replay `lines` through both caches with random side operations; stops
-/// at the first mismatch.
+/// Replay `lines` through both caches with random side operations, plus
+/// `extra_invalidate_pct` percent of ops that invalidate an earlier line;
+/// stops at the first mismatch.
 void replay(const Geometry& g, const std::vector<Addr>& lines, Rng& rng,
-            const std::string& label) {
+            const std::string& label, std::uint64_t extra_invalidate_pct = 0) {
   sim::SetAssocCache cache(g.geometry);
   ReferenceCache reference(g.geometry);
   const std::uint64_t capacity = g.geometry.num_lines();
@@ -85,6 +95,11 @@ void replay(const Geometry& g, const std::vector<Addr>& lines, Rng& rng,
     if (rng.next(4000) == 0) {
       cache.flush();
       reference.flush();
+    }
+    if (extra_invalidate_pct != 0 && rng.next(100) < extra_invalidate_pct) {
+      const Addr victim = lines[rng.next(i + 1)];
+      cache.invalidate(victim);
+      reference.invalidate(victim);
     }
     ASSERT_EQ(cache.contains(seen), reference.contains(seen)) << where;
 
@@ -130,6 +145,44 @@ TEST(ReferenceCache, SetAssocCacheMatchesOnRandomOps) {
     std::vector<Addr> lines(kRefsPerFamily);
     for (Addr& line : lines) line = rng.next(2 * g.geometry.num_lines());
     replay(g, lines, rng, "random");
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ReferenceCache, SetAssocCacheMatchesOnPartialTagCollisions) {
+  // Lines line + k * sets * 256 share a set and the low tag byte, so in a
+  // wide set every resident line is a partial-tag candidate for every
+  // probe; tag bytes 0 and 1 share a partial tag too.
+  const std::uint64_t seed = re::testing::test_seed();
+  for (const Geometry& g : geometries()) {
+    if (g.geometry.associativity < sim::SetAssocCache::kPartialTagMinWays) {
+      continue;
+    }
+    Rng rng(workloads::mix64(seed ^ g.geometry.size_bytes));
+    const Addr sets = g.geometry.num_sets();
+    std::vector<Addr> pool;
+    for (Addr k = 0; k < 3 * g.geometry.associativity; ++k) {
+      const Addr set = rng.next(2);
+      pool.push_back(set + k * sets * 256);
+      pool.push_back(set + (k * 256 + 1) * sets);
+    }
+    std::vector<Addr> lines(kRefsPerFamily);
+    for (Addr& line : lines) line = pool[rng.next(pool.size())];
+    replay(g, lines, rng, "collisions");
+    if (HasFailure()) return;
+  }
+}
+
+TEST(ReferenceCache, SetAssocCacheMatchesUnderHeavyInvalidation) {
+  // A third of the ops invalidate an earlier line, so sets keep several
+  // invalid ways whose fill order the ranks must get right.
+  const std::uint64_t seed = re::testing::test_seed();
+  for (const Geometry& g : geometries()) {
+    Rng rng(workloads::mix64(seed ^ g.geometry.size_bytes ^
+                             g.geometry.associativity));
+    std::vector<Addr> lines(kRefsPerFamily);
+    for (Addr& line : lines) line = rng.next(2 * g.geometry.num_lines());
+    replay(g, lines, rng, "invalidate-heavy", 33);
     if (HasFailure()) return;
   }
 }

@@ -15,7 +15,12 @@
 #            then `repf verify` against the committed golden plans
 #            (plans_<machine>.golden) and simulator statistics
 #            (sim_<machine>.golden) for both machines at --jobs 1 and
-#            --jobs 8, compared byte-for-byte (determinism).
+#            --jobs 8, compared byte-for-byte (determinism). The
+#            differential suites against the reference models
+#            (ReferenceCache, CursorDifferential for ReferenceCursor,
+#            ReferenceSampler) then rerun at RE_TEST_SEED 1, 2024 and
+#            0xDEADBEEF beside the default seed, so the lane sweeps four
+#            fuzz draws, not one.
 #            `tools/check.sh verify --bless` re-blesses both instead.
 #            Default build dir: build.
 #   chaos    run the chaos-engineering lane under ASan+UBSan: `ctest -L
@@ -156,6 +161,11 @@ run_verify() {
   fi
 
   ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" -L verify
+  for seed in 1 2024 0xDEADBEEF; do
+    RE_TEST_SEED="$seed" ctest --test-dir "$build_dir" --output-on-failure \
+      -j "$JOBS" -R '^(ReferenceCache|CursorDifferential|ReferenceSampler)\.'
+    echo "== reference-model differential suites clean at RE_TEST_SEED=$seed"
+  done
 
   # The oracle sweep must pass against the committed plan and simulator
   # goldens on both machines — and be byte-identical between the serial
