@@ -13,9 +13,10 @@
 //  - Execution counts are dense. Each PC is interned once, to an index
 //    into a per-PC state array; a direct-mapped memo in front of the
 //    intern table turns the per-reference lookup into one multiply, one
-//    compare and one increment. A window's counts are emitted into
-//    `Profile::pc_execution_counts` in first-execution order, the order in
-//    which a per-reference map increment would have inserted them.
+//    compare and one increment. A window's counts are inserted into
+//    `Profile::pc_execution_counts` in first-execution order, so the map's
+//    iteration order, which downstream analyses walk, depends only on the
+//    window's reference stream.
 //  - A stride breakpoint lives in its PC's dense state, so testing for one
 //    is a flag read on the state the count already loaded.
 //  - Line watchpoints stay in a hash map, since finish() and harvest()

@@ -7,8 +7,8 @@
 //
 // Layout: each set is a run of `ways` 8-byte tags and parallel runs of
 // one-byte recency ranks and flag bytes; sets of kPartialTagMinWays or more
-// ways add a run of one-byte partial tags. That is 10 bytes per way (11
-// with partial tags), down from 17 when each way kept a 64-bit age.
+// ways add a run of one-byte partial tags: 10 bytes per way, or 11. A miss
+// reads the ranks and partial tags, not a 64-bit word per way.
 //  - An invalid way holds the sentinel tag ~0 (never a line number: lines
 //    are addresses shifted right by 6) and partial tag 0.
 //  - The ranks of a set are a permutation of 0..ways-1, 0 the most recently
