@@ -29,6 +29,7 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/config.hh"
@@ -57,8 +58,7 @@ struct Eviction {
 
 class SetAssocCache {
  public:
-  /// Widest set the probe's 64-bit hit mask covers; also the way number a
-  /// probe returns on a miss.
+  /// Widest set the probes' 64-bit masks cover.
   static constexpr std::uint32_t kMaxAssociativity = 64;
   /// Sets at least this wide are probed through one-byte partial tags.
   static constexpr std::uint32_t kPartialTagMinWays = 16;
@@ -71,13 +71,9 @@ class SetAssocCache {
   /// marks the line as touched, and a `dirty` hit (a store) marks it
   /// dirty. Returns true on hit.
   bool access(Addr line, bool demand, bool dirty = false) {
-    const std::size_t base = set_base(line);
-    const std::uint32_t way = find(base, line);
-    if (way >= ways_) return false;
-    promote(&ranks_[base], ways_, way);
-    flags_[base + way] |= static_cast<std::uint8_t>(
-        (demand ? kTouched : 0) | (dirty ? kDirty : 0));
-    return true;
+    return with_width([&](auto w) {
+      return access_in<decltype(w)::value>(line, demand, dirty);
+    });
   }
 
   /// Mark a resident line dirty (store hit or dirty writeback from an
@@ -126,6 +122,15 @@ class SetAssocCache {
     return static_cast<std::uint8_t>(byte + (byte == 0));
   }
 
+#if defined(__SSE2__)
+  /// `byte` in all 16 lanes: one multiply, one move and one shuffle, where
+  /// _mm_set1_epi8 takes three shuffles on SSE2.
+  static __m128i broadcast(std::uint8_t byte) {
+    return _mm_shuffle_epi32(
+        _mm_cvtsi32_si128(static_cast<int>(byte * 0x01010101u)), 0);
+  }
+#endif
+
   /// Bit w set where bytes[w] == key, for w < ways. With SSE2, 16 bytes
   /// are compared per instruction (a width that is not a multiple of 16
   /// re-reads an overlapping last block) and 8 take one 8-byte compare.
@@ -133,7 +138,7 @@ class SetAssocCache {
                                    std::uint32_t ways, std::uint8_t key) {
     std::uint64_t hits = 0;
 #if defined(__SSE2__)
-    const __m128i k = _mm_set1_epi8(static_cast<char>(key));
+    const __m128i k = broadcast(key);
     const auto block = [&](__m128i v) {
       return static_cast<std::uint64_t>(
           _mm_movemask_epi8(_mm_cmpeq_epi8(v, k)));
@@ -178,7 +183,7 @@ class SetAssocCache {
     if (ways % 8 == 0) {
       // Ranks stay below 64, so the signed byte compare is exact; the one
       // rank equal to `rank` is the way's own and becomes 0.
-      const __m128i key = _mm_set1_epi8(static_cast<char>(rank));
+      const __m128i key = broadcast(rank);
       const auto update = [&](__m128i v) {
         return _mm_andnot_si128(_mm_cmpeq_epi8(v, key),
                                 _mm_sub_epi8(v, _mm_cmplt_epi8(v, key)));
@@ -201,10 +206,11 @@ class SetAssocCache {
     ranks[way] = 0;
   }
 
-  /// Way of the first tag equal to `line` among `ways` tags, or
-  /// kMaxAssociativity on a miss: every way is compared into a 64-bit hit
-  /// mask without branching, and the lowest set bit is the first match.
-  /// With SSE2, an even number of ways is compared two per instruction.
+  /// Way of the first tag equal to `line` among `ways` tags (fewer than
+  /// kPartialTagMinWays), or a number >= ways on a miss: every way is
+  /// compared into a hit mask without branching, and the lowest set bit is
+  /// the first match. With SSE2, an even number of ways is compared two per
+  /// instruction, as 32-bit halves that must both match.
   static std::uint32_t find_in(const Addr* tags, std::uint32_t ways,
                                Addr line) {
     std::uint64_t hits = 0;
@@ -212,16 +218,18 @@ class SetAssocCache {
     if (ways % 2 == 0) {
       const __m128i key = _mm_set1_epi64x(static_cast<long long>(line));
       for (std::uint32_t w = 0; w < ways; w += 2) {
-        // 64-bit equality from SSE2's 32-bit compare: both halves equal.
-        __m128i eq = _mm_cmpeq_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + w)),
-            key);
-        eq = _mm_and_si128(eq, _mm_shuffle_epi32(eq, _MM_SHUFFLE(2, 3, 0, 1)));
+        // Bits 2w and 2w+1 of `hits` are way w's low and high halves.
+        const __m128i eq = _mm_cmpeq_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + w)), key);
         hits |= static_cast<std::uint64_t>(
-                    _mm_movemask_pd(_mm_castsi128_pd(eq)))
-                << w;
+                    _mm_movemask_ps(_mm_castsi128_ps(eq)))
+                << (2 * w);
       }
-      return static_cast<std::uint32_t>(std::countr_zero(hits));
+      // Way w matched where bits 2w and 2w+1 are both set; on a miss this
+      // is 64 / 2 = 32, more than the ways a narrow set has.
+      return static_cast<std::uint32_t>(
+                 std::countr_zero(hits & (hits >> 1) & 0x5555555555555555ull)) /
+             2;
     }
 #endif
     for (std::uint32_t w = 0; w < ways; ++w) {
@@ -246,20 +254,48 @@ class SetAssocCache {
     return kMaxAssociativity;
   }
 
-  /// Way holding `line` in the set at `base`, or >= ways_ on a miss. The
-  /// machines' associativities get a compile-time width the compiler
-  /// unrolls.
-  std::uint32_t find(std::size_t base, Addr line) const {
-    const Addr* tags = &tags_[base];
+  /// Call `f` with std::integral_constant<std::uint32_t, W>: W is ways_
+  /// for the machines' associativities, so the compiler unrolls that width,
+  /// and 0 (read ways_ at run time) for any other.
+  template <typename F>
+  auto with_width(F&& f) const
+      -> std::invoke_result_t<F, std::integral_constant<std::uint32_t, 0>> {
     switch (ways_) {
-      case 2: return find_in(tags, 2, line);
-      case 8: return find_in(tags, 8, line);
-      case 16: return find_partial(base, 16, line);
-      case 24: return find_partial(base, 24, line);
-      default:
-        return ways_ >= kPartialTagMinWays ? find_partial(base, ways_, line)
-                                           : find_in(tags, ways_, line);
+      case 2: return f(std::integral_constant<std::uint32_t, 2>{});
+      case 8: return f(std::integral_constant<std::uint32_t, 8>{});
+      case 16: return f(std::integral_constant<std::uint32_t, 16>{});
+      case 24: return f(std::integral_constant<std::uint32_t, 24>{});
+      default: return f(std::integral_constant<std::uint32_t, 0>{});
     }
+  }
+
+  /// Way holding `line` in the set at `base`, or >= the width on a miss,
+  /// for sets of W ways, or of ways_ ways if W is 0.
+  template <std::uint32_t W>
+  std::uint32_t find_in_set(std::size_t base, Addr line) const {
+    const std::uint32_t ways = W != 0 ? W : ways_;
+    return ways >= kPartialTagMinWays ? find_partial(base, ways, line)
+                                      : find_in(&tags_[base], ways, line);
+  }
+
+  /// Way holding `line` in the set at `base`, or >= ways_ on a miss.
+  std::uint32_t find(std::size_t base, Addr line) const {
+    return with_width([&](auto w) {
+      return find_in_set<decltype(w)::value>(base, line);
+    });
+  }
+
+  /// access() for sets of W ways, or of ways_ ways if W is 0.
+  template <std::uint32_t W>
+  bool access_in(Addr line, bool demand, bool dirty) {
+    const std::uint32_t ways = W != 0 ? W : ways_;
+    const std::size_t base = static_cast<std::size_t>(line & (sets_ - 1)) * ways;
+    const std::uint32_t way = find_in_set<W>(base, line);
+    if (way >= ways) return false;
+    promote(&ranks_[base], ways, way);
+    flags_[base + way] |= static_cast<std::uint8_t>(
+        (demand ? kTouched : 0) | (dirty ? kDirty : 0));
+    return true;
   }
 
   /// fill() for sets of W ways, or of ways_ ways if W is 0.
