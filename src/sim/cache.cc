@@ -47,7 +47,7 @@ std::optional<Eviction> SetAssocCache::fill_in(Addr line, FillOrigin origin,
   // would corrupt the set, so this is asserted in debug builds.
   const std::size_t base = static_cast<std::size_t>(line & (sets_ - 1)) * ways;
   assert(line != kInvalidTag && "line collides with the invalid-way tag");
-  assert(find_in_set<W>(base, line) >= ways && "duplicate cache fill");
+  assert(find(base, line) >= ways && "duplicate cache fill");
   // The victim is the way ranked last: of two ways, the one not ranked 0.
   const std::uint8_t* ranks = &ranks_[base];
   const auto way =
@@ -74,9 +74,14 @@ std::optional<Eviction> SetAssocCache::fill_in(Addr line, FillOrigin origin,
 
 std::optional<Eviction> SetAssocCache::fill(Addr line, FillOrigin origin,
                                             bool dirty) {
-  return with_width([&](auto w) {
-    return fill_in<decltype(w)::value>(line, origin, dirty);
-  });
+  // The machines' associativities get a compile-time width.
+  switch (ways_) {
+    case 2: return fill_in<2>(line, origin, dirty);
+    case 8: return fill_in<8>(line, origin, dirty);
+    case 16: return fill_in<16>(line, origin, dirty);
+    case 24: return fill_in<24>(line, origin, dirty);
+    default: return fill_in<0>(line, origin, dirty);
+  }
 }
 
 bool SetAssocCache::mark_dirty(Addr line) {

@@ -29,7 +29,6 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <type_traits>
 #include <vector>
 
 #include "sim/config.hh"
@@ -71,9 +70,13 @@ class SetAssocCache {
   /// marks the line as touched, and a `dirty` hit (a store) marks it
   /// dirty. Returns true on hit.
   bool access(Addr line, bool demand, bool dirty = false) {
-    return with_width([&](auto w) {
-      return access_in<decltype(w)::value>(line, demand, dirty);
-    });
+    const std::size_t base = set_base(line);
+    const std::uint32_t way = find(base, line);
+    if (way >= ways_) return false;
+    promote(&ranks_[base], ways_, way);
+    flags_[base + way] |= static_cast<std::uint8_t>(
+        (demand ? kTouched : 0) | (dirty ? kDirty : 0));
+    return true;
   }
 
   /// Mark a resident line dirty (store hit or dirty writeback from an
@@ -254,48 +257,20 @@ class SetAssocCache {
     return kMaxAssociativity;
   }
 
-  /// Call `f` with std::integral_constant<std::uint32_t, W>: W is ways_
-  /// for the machines' associativities, so the compiler unrolls that width,
-  /// and 0 (read ways_ at run time) for any other.
-  template <typename F>
-  auto with_width(F&& f) const
-      -> std::invoke_result_t<F, std::integral_constant<std::uint32_t, 0>> {
-    switch (ways_) {
-      case 2: return f(std::integral_constant<std::uint32_t, 2>{});
-      case 8: return f(std::integral_constant<std::uint32_t, 8>{});
-      case 16: return f(std::integral_constant<std::uint32_t, 16>{});
-      case 24: return f(std::integral_constant<std::uint32_t, 24>{});
-      default: return f(std::integral_constant<std::uint32_t, 0>{});
-    }
-  }
-
-  /// Way holding `line` in the set at `base`, or >= the width on a miss,
-  /// for sets of W ways, or of ways_ ways if W is 0.
-  template <std::uint32_t W>
-  std::uint32_t find_in_set(std::size_t base, Addr line) const {
-    const std::uint32_t ways = W != 0 ? W : ways_;
-    return ways >= kPartialTagMinWays ? find_partial(base, ways, line)
-                                      : find_in(&tags_[base], ways, line);
-  }
-
-  /// Way holding `line` in the set at `base`, or >= ways_ on a miss.
+  /// Way holding `line` in the set at `base`, or >= ways_ on a miss. The
+  /// machines' associativities get a compile-time width the compiler
+  /// unrolls.
   std::uint32_t find(std::size_t base, Addr line) const {
-    return with_width([&](auto w) {
-      return find_in_set<decltype(w)::value>(base, line);
-    });
-  }
-
-  /// access() for sets of W ways, or of ways_ ways if W is 0.
-  template <std::uint32_t W>
-  bool access_in(Addr line, bool demand, bool dirty) {
-    const std::uint32_t ways = W != 0 ? W : ways_;
-    const std::size_t base = static_cast<std::size_t>(line & (sets_ - 1)) * ways;
-    const std::uint32_t way = find_in_set<W>(base, line);
-    if (way >= ways) return false;
-    promote(&ranks_[base], ways, way);
-    flags_[base + way] |= static_cast<std::uint8_t>(
-        (demand ? kTouched : 0) | (dirty ? kDirty : 0));
-    return true;
+    const Addr* tags = &tags_[base];
+    switch (ways_) {
+      case 2: return find_in(tags, 2, line);
+      case 8: return find_in(tags, 8, line);
+      case 16: return find_partial(base, 16, line);
+      case 24: return find_partial(base, 24, line);
+      default:
+        return ways_ >= kPartialTagMinWays ? find_partial(base, ways_, line)
+                                           : find_in(tags, ways_, line);
+    }
   }
 
   /// fill() for sets of W ways, or of ways_ ways if W is 0.

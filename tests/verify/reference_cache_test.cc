@@ -5,9 +5,10 @@
 // miss and Eviction field must match at each machine's L1/L2/LLC geometry,
 // at one way, at the 64-way bound and at widths with no specialised probe
 // (3, 12, 20 and 40 ways). Streams of lines that share a set and a partial
-// tag drive the wide probe's false-candidate path, and an invalidate-heavy
-// stream checks the rank order of invalid ways. Randomized via
-// RE_TEST_SEED.
+// tag drive the wide probe's false-candidate path, lines that share a set
+// and their low 32 bits the narrow probe's half compares, and an
+// invalidate-heavy stream checks the rank order of invalid ways.
+// Randomized via RE_TEST_SEED.
 #include "verify/reference_cache.hh"
 
 #include <gtest/gtest.h>
@@ -149,15 +150,14 @@ TEST(ReferenceCache, SetAssocCacheMatchesOnRandomOps) {
   }
 }
 
-TEST(ReferenceCache, SetAssocCacheMatchesOnPartialTagCollisions) {
+TEST(ReferenceCache, SetAssocCacheMatchesOnTagCollisions) {
   // Lines line + k * sets * 256 share a set and the low tag byte, so in a
   // wide set every resident line is a partial-tag candidate for every
-  // probe; tag bytes 0 and 1 share a partial tag too.
+  // probe; tag bytes 0 and 1 share a partial tag too. Lines line + k * 2^32
+  // share a set and the low 32 bits, which a narrow probe compares apart
+  // from the high 32.
   const std::uint64_t seed = re::testing::test_seed();
   for (const Geometry& g : geometries()) {
-    if (g.geometry.associativity < sim::SetAssocCache::kPartialTagMinWays) {
-      continue;
-    }
     Rng rng(workloads::mix64(seed ^ g.geometry.size_bytes));
     const Addr sets = g.geometry.num_sets();
     std::vector<Addr> pool;
@@ -165,6 +165,7 @@ TEST(ReferenceCache, SetAssocCacheMatchesOnPartialTagCollisions) {
       const Addr set = rng.next(2);
       pool.push_back(set + k * sets * 256);
       pool.push_back(set + (k * 256 + 1) * sets);
+      pool.push_back(set + (k << 32));
     }
     std::vector<Addr> lines(kRefsPerFamily);
     for (Addr& line : lines) line = pool[rng.next(pool.size())];
