@@ -19,7 +19,7 @@
 //    is a few byte-wise compares, a subtract and one store per 16 ways.
 //  - A partial tag is the low byte of the tag above the set index, with 0
 //    reserved for invalid (a byte of 0 is stored as 1). A wide probe
-//    compares the partial tags 16 ways per instruction and reads a full tag
+//    compares up to 16 partial tags per instruction and reads a full tag
 //    only where the byte matched.
 // Narrow sets compare every full tag into a 64-bit hit mask without
 // branching and take the first match. Probes gather their compares into a
@@ -57,10 +57,11 @@ struct Eviction {
 
 class SetAssocCache {
  public:
-  /// Widest set the probes' 64-bit masks cover.
+  /// Widest set the probe's 64-bit hit mask covers; also the way number a
+  /// probe returns on a miss.
   static constexpr std::uint32_t kMaxAssociativity = 64;
   /// Sets at least this wide are probed through one-byte partial tags.
-  static constexpr std::uint32_t kPartialTagMinWays = 16;
+  static constexpr std::uint32_t kPartialTagMinWays = 8;
 
   /// Throws std::invalid_argument for an empty geometry, a set count that
   /// is not a power of two, or more than kMaxAssociativity ways.
@@ -209,11 +210,10 @@ class SetAssocCache {
     ranks[way] = 0;
   }
 
-  /// Way of the first tag equal to `line` among `ways` tags (fewer than
-  /// kPartialTagMinWays), or a number >= ways on a miss: every way is
-  /// compared into a hit mask without branching, and the lowest set bit is
-  /// the first match. With SSE2, an even number of ways is compared two per
-  /// instruction, as 32-bit halves that must both match.
+  /// Way of the first tag equal to `line` among `ways` tags, or
+  /// kMaxAssociativity on a miss: every way is compared into a 64-bit hit
+  /// mask without branching, and the lowest set bit is the first match.
+  /// With SSE2, an even number of ways is compared two per instruction.
   static std::uint32_t find_in(const Addr* tags, std::uint32_t ways,
                                Addr line) {
     std::uint64_t hits = 0;
@@ -221,18 +221,16 @@ class SetAssocCache {
     if (ways % 2 == 0) {
       const __m128i key = _mm_set1_epi64x(static_cast<long long>(line));
       for (std::uint32_t w = 0; w < ways; w += 2) {
-        // Bits 2w and 2w+1 of `hits` are way w's low and high halves.
-        const __m128i eq = _mm_cmpeq_epi32(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + w)), key);
+        // 64-bit equality from SSE2's 32-bit compare: both halves equal.
+        __m128i eq = _mm_cmpeq_epi32(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags + w)),
+            key);
+        eq = _mm_and_si128(eq, _mm_shuffle_epi32(eq, _MM_SHUFFLE(2, 3, 0, 1)));
         hits |= static_cast<std::uint64_t>(
-                    _mm_movemask_ps(_mm_castsi128_ps(eq)))
-                << (2 * w);
+                    _mm_movemask_pd(_mm_castsi128_pd(eq)))
+                << w;
       }
-      // Way w matched where bits 2w and 2w+1 are both set; on a miss this
-      // is 64 / 2 = 32, more than the ways a narrow set has.
-      return static_cast<std::uint32_t>(
-                 std::countr_zero(hits & (hits >> 1) & 0x5555555555555555ull)) /
-             2;
+      return static_cast<std::uint32_t>(std::countr_zero(hits));
     }
 #endif
     for (std::uint32_t w = 0; w < ways; ++w) {
@@ -264,7 +262,7 @@ class SetAssocCache {
     const Addr* tags = &tags_[base];
     switch (ways_) {
       case 2: return find_in(tags, 2, line);
-      case 8: return find_in(tags, 8, line);
+      case 8: return find_partial(base, 8, line);
       case 16: return find_partial(base, 16, line);
       case 24: return find_partial(base, 24, line);
       default:
