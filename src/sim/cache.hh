@@ -173,13 +173,14 @@ class SetAssocCache {
   }
 
   /// Rank `way` most recently used: every way more recent than it ages by
-  /// one rank. Two ways just swap. With SSE2, widths that are a multiple
+  /// one rank. Of two ways, way 0's rank is the index of the other, so
+  /// both ranks are stored without reading them. With SSE2, widths that are a multiple
   /// of 8 update 16 (or a last 8) ranks per compare and store.
   static void promote(std::uint8_t* ranks, std::uint32_t ways,
                       std::uint32_t way) {
     if (ways == 2) {
-      ranks[way] = 0;
-      ranks[way ^ 1] = 1;
+      ranks[0] = static_cast<std::uint8_t>(way);
+      ranks[1] = static_cast<std::uint8_t>(way ^ 1);
       return;
     }
     const std::uint8_t rank = ranks[way];
