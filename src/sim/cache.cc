@@ -55,7 +55,7 @@ std::optional<Eviction> SetAssocCache::fill_in(Addr line, FillOrigin origin,
                 : static_cast<std::uint32_t>(std::countr_zero(match_bytes(
                       ranks, ways, static_cast<std::uint8_t>(ways - 1))));
   assert(way < ways && "set ranks are not a permutation");
-  promote(&ranks_[base], ways, way);
+  promote_in(&ranks_[base], ways, way);
 
   const std::size_t slot = base + way;
   std::optional<Eviction> evicted;

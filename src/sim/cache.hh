@@ -74,7 +74,7 @@ class SetAssocCache {
     const std::size_t base = set_base(line);
     const std::uint32_t way = find(base, line);
     if (way >= ways_) return false;
-    promote(&ranks_[base], ways_, way);
+    promote(base, way);
     flags_[base + way] |= static_cast<std::uint8_t>(
         (demand ? kTouched : 0) | (dirty ? kDirty : 0));
     return true;
@@ -172,12 +172,13 @@ class SetAssocCache {
     return hits;
   }
 
-  /// Rank `way` most recently used: every way more recent than it ages by
-  /// one rank. Of two ways, way 0's rank is the index of the other, so
-  /// both ranks are stored without reading them. With SSE2, widths that are a multiple
-  /// of 8 update 16 (or a last 8) ranks per compare and store.
-  static void promote(std::uint8_t* ranks, std::uint32_t ways,
-                      std::uint32_t way) {
+  /// Rank `way` most recently used among `ways` ranks: every way more
+  /// recent than it ages by one rank. Of two ways, way 0's rank is the
+  /// index of the other, so both ranks are stored without reading them.
+  /// With SSE2, widths that are a multiple of 8 update 16 (or a last 8)
+  /// ranks per compare and store.
+  static void promote_in(std::uint8_t* ranks, std::uint32_t ways,
+                         std::uint32_t way) {
     if (ways == 2) {
       ranks[0] = static_cast<std::uint8_t>(way);
       ranks[1] = static_cast<std::uint8_t>(way ^ 1);
@@ -269,6 +270,19 @@ class SetAssocCache {
       default:
         return ways_ >= kPartialTagMinWays ? find_partial(base, ways_, line)
                                            : find_in(tags, ways_, line);
+    }
+  }
+
+  /// Rank `way` of the set at `base` most recently used, at find()'s
+  /// compile-time widths.
+  void promote(std::size_t base, std::uint32_t way) {
+    std::uint8_t* ranks = &ranks_[base];
+    switch (ways_) {
+      case 2: return promote_in(ranks, 2, way);
+      case 8: return promote_in(ranks, 8, way);
+      case 16: return promote_in(ranks, 16, way);
+      case 24: return promote_in(ranks, 24, way);
+      default: return promote_in(ranks, ways_, way);
     }
   }
 
